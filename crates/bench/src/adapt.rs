@@ -8,9 +8,9 @@
 //! scenario through both engines:
 //!
 //! * **frozen** — the schedule as optimized, faults handled by the
-//!   retry/lineage ladder only ([`ditto_exec::try_simulate_with_faults`]);
+//!   retry/lineage ladder only ([`ditto_exec::Replan::Off`]);
 //! * **adaptive** — the same ladder plus online drift detection and
-//!   elastic suffix re-optimization ([`ditto_exec::try_simulate_adaptive`]).
+//!   elastic suffix re-optimization ([`ditto_exec::Replan::Adaptive`]).
 //!
 //! Deterministic: one seed names one fault history per cell, so the JSON
 //! artifact is byte-identical across runs.
@@ -19,9 +19,8 @@ use crate::setup::{prepare, PreparedQuery};
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule};
 use ditto_exec::{
-    try_simulate_adaptive, try_simulate_adaptive_traced, try_simulate_with_faults,
-    try_simulate_with_faults_traced, AdaptiveConfig, FaultPlan, FaultRates, RecoveryPolicy,
-    ReschedulingContext,
+    run, AdaptiveConfig, FaultPlan, FaultRates, RecoveryPolicy, Replan, ReschedulingContext,
+    RunSpec,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_sql::queries::Query;
@@ -124,16 +123,13 @@ pub fn traced_adapt_pair() -> (TraceData, TraceData) {
     let plan = fault_plan(2.0, 0.0);
     let policy = RecoveryPolicy::default();
     let frozen_obs = Recorder::new();
-    try_simulate_with_faults_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        None,
-        &frozen_obs,
-    )
-    .expect("frozen engine recovers within policy bounds");
+    let frozen = RunSpec {
+        faults: plan.clone(),
+        recovery: policy.clone(),
+        recorder: Some(&frozen_obs),
+        ..RunSpec::default()
+    };
+    run(&p.plan.dag, &schedule, &p.gt, frozen).expect("frozen engine recovers within policy bounds");
     let ctx = ReschedulingContext {
         model: &p.model,
         resources: &rm,
@@ -141,17 +137,15 @@ pub fn traced_adapt_pair() -> (TraceData, TraceData) {
         options: JointOptions::default(),
     };
     let adaptive_obs = Recorder::new();
-    try_simulate_adaptive_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        &ctx,
-        &AdaptiveConfig::default(),
-        &adaptive_obs,
-    )
-    .expect("adaptive engine recovers within policy bounds");
+    let adaptive = RunSpec {
+        faults: plan,
+        recovery: policy,
+        replan: Replan::Adaptive(ctx, AdaptiveConfig::default()),
+        recorder: Some(&adaptive_obs),
+        journal: None,
+    };
+    run(&p.plan.dag, &schedule, &p.gt, adaptive)
+        .expect("adaptive engine recovers within policy bounds");
     (frozen_obs.finish(), adaptive_obs.finish())
 }
 
@@ -178,7 +172,13 @@ fn run_cell(
     loss: f64,
 ) -> [AdaptSweepRow; 2] {
     let dag = &p.plan.dag;
-    let (_, frozen) = try_simulate_with_faults(dag, schedule, &p.gt, plan, policy, None)
+    let spec = |replan| RunSpec {
+        faults: plan.clone(),
+        recovery: policy.clone(),
+        replan,
+        ..RunSpec::default()
+    };
+    let (_, frozen) = run(dag, schedule, &p.gt, spec(Replan::Off))
         .expect("frozen engine recovers within policy bounds");
     let ctx = ReschedulingContext {
         model: &p.model,
@@ -186,14 +186,11 @@ fn run_cell(
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
-    let (trace, adaptive) = try_simulate_adaptive(
+    let (trace, adaptive) = run(
         dag,
         schedule,
         &p.gt,
-        plan,
-        policy,
-        &ctx,
-        &AdaptiveConfig::default(),
+        spec(Replan::Adaptive(ctx, AdaptiveConfig::default())),
     )
     .expect("adaptive engine recovers within policy bounds");
     let row = |engine: &str, jct: f64, adaptive: bool| AdaptSweepRow {
@@ -293,16 +290,14 @@ mod tests {
             objective: Objective::Jct,
             options: JointOptions::default(),
         };
-        let (trace, _) = try_simulate_adaptive(
-            &p.plan.dag,
-            &schedule,
-            &p.gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx,
-            &AdaptiveConfig::default(),
-        )
-        .expect("adaptive engine recovers within policy bounds");
+        let spec = RunSpec {
+            faults: plan,
+            recovery: RecoveryPolicy::default(),
+            replan: Replan::Adaptive(ctx, AdaptiveConfig::default()),
+            ..RunSpec::default()
+        };
+        let (trace, _) = run(&p.plan.dag, &schedule, &p.gt, spec)
+            .expect("adaptive engine recovers within policy bounds");
         // `to_chrome_trace` emits the bare-array form; the validator
         // checks the wrapped object form Perfetto also accepts.
         let wrapped = format!("{{\"traceEvents\":{}}}", trace.to_chrome_trace());

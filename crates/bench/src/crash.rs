@@ -29,10 +29,9 @@ use ditto_audit::RaceOptions;
 use ditto_cluster::{ResourceManager, ServerId};
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule};
 use ditto_exec::{
-    cross_check, decode_journal, simulate, try_simulate_adaptive_journaled,
-    try_simulate_with_faults_journaled, validate_journal, AdaptiveConfig, ExecError,
-    ExecutionTrace, FaultPlan, FaultRates, JobMetrics, JournalSession, RecoveryPolicy,
-    ReschedulingContext,
+    cross_check, decode_journal, run, simulate, validate_journal, AdaptiveConfig, ExecError,
+    ExecutionTrace, FaultPlan, FaultRates, JobMetrics, JournalSession, RecoveryPolicy, Replan,
+    ReschedulingContext, RunSpec,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_sql::queries::Query;
@@ -142,34 +141,21 @@ impl Harness {
     fn run(
         &self,
         sc: &Scenario,
-        obs: &Recorder,
+        recorder: Option<&Recorder>,
         session: &mut JournalSession,
     ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-        let policy = RecoveryPolicy::default();
-        if sc.adaptive {
-            try_simulate_adaptive_journaled(
-                &self.dag,
-                &self.schedule,
-                &self.gt,
-                &sc.plan,
-                &policy,
-                &self.ctx(),
-                &AdaptiveConfig::default(),
-                obs,
-                session,
-            )
-        } else {
-            try_simulate_with_faults_journaled(
-                &self.dag,
-                &self.schedule,
-                &self.gt,
-                &sc.plan,
-                &policy,
-                Some(&self.ctx()),
-                obs,
-                session,
-            )
-        }
+        let spec = RunSpec {
+            faults: sc.plan.clone(),
+            recovery: RecoveryPolicy::default(),
+            replan: if sc.adaptive {
+                Replan::Adaptive(self.ctx(), AdaptiveConfig::default())
+            } else {
+                Replan::OnServerFailure(self.ctx())
+            },
+            recorder,
+            journal: Some(session),
+        };
+        run(&self.dag, &self.schedule, &self.gt, spec)
     }
 }
 
@@ -191,7 +177,7 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
     for sc in scenarios(base.jct) {
         let mut clean = JournalSession::fresh(None);
         let (bt, bm) = h
-            .run(&sc, &Recorder::disabled(), &mut clean)
+            .run(&sc, None, &mut clean)
             .expect("crash-free journaled run");
         let total = clean.records_written();
         let v = validate_journal(&decode_journal(clean.durable_bytes()).unwrap().records);
@@ -211,7 +197,7 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
             points += 1;
             let mut armed = JournalSession::fresh(Some(k));
             let err = h
-                .run(&sc, &Recorder::disabled(), &mut armed)
+                .run(&sc, None, &mut armed)
                 .expect_err("armed crash must kill the run");
             assert!(
                 matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k),
@@ -222,7 +208,7 @@ fn crash_sweep_with(max_points: Option<u64>) -> Vec<CrashSweepRow> {
                 JournalSession::resume(armed.durable_bytes()).expect("torn journal resumes");
             let obs = Recorder::new();
             let (rt, rm2) = h
-                .run(&sc, &obs, &mut resumed)
+                .run(&sc, Some(&obs), &mut resumed)
                 .expect("recovery must terminate");
             let trace = obs.finish();
             if rm2 != bm || rt.tasks != bt.tasks || rt.attempts != bt.attempts
@@ -289,15 +275,15 @@ pub fn traced_crash_recovery() -> (TraceData, Vec<u8>) {
         .find(|s| s.adaptive)
         .expect("adaptive scenario exists");
     let mut clean = JournalSession::fresh(None);
-    h.run(&sc, &Recorder::disabled(), &mut clean)
+    h.run(&sc, None, &mut clean)
         .expect("crash-free journaled run");
     let mid = clean.records_written() / 2;
     let mut armed = JournalSession::fresh(Some(mid));
-    h.run(&sc, &Recorder::disabled(), &mut armed)
+    h.run(&sc, None, &mut armed)
         .expect_err("armed crash");
     let mut resumed = JournalSession::resume(armed.durable_bytes()).expect("resume");
     let obs = Recorder::deterministic();
-    h.run(&sc, &obs, &mut resumed).expect("recovery");
+    h.run(&sc, Some(&obs), &mut resumed).expect("recovery");
     (obs.finish(), resumed.durable_bytes().to_vec())
 }
 

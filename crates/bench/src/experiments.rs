@@ -762,7 +762,7 @@ pub const FAULT_SWEEP_RATES: [f64; 4] = [0.02, 0.05, 0.1, 0.2];
 /// rates, Ditto vs NIMBLE schedules, bounded-retry vs retry+speculation
 /// recovery. Deterministic: one seed names one fault history per rate.
 pub fn fault_sweep() -> Vec<FaultSweepRow> {
-    use ditto_exec::{try_simulate_with_faults, FaultPlan, FaultRates, RecoveryPolicy};
+    use ditto_exec::{run, FaultPlan, FaultRates, RecoveryPolicy, RunSpec};
     let p = prepare(Query::Q95, Medium::S3);
     let rm = default_testbed();
     let ditto = DittoScheduler::new();
@@ -790,15 +790,18 @@ pub fn fault_sweep() -> Vec<FaultSweepRow> {
         let (_, base) = simulate(&p.plan.dag, &schedule, &p.gt);
         for rate in FAULT_SWEEP_RATES {
             for (policy_name, policy) in &policies {
-                let plan = FaultPlan::from_rates(FaultRates {
-                    crash_prob: rate,
-                    straggler_prob: rate,
-                    straggler_slowdown: 4.0,
-                    ..FaultRates::none(17)
-                });
-                let (_, m) =
-                    try_simulate_with_faults(&p.plan.dag, &schedule, &p.gt, &plan, policy, None)
-                        .expect("bounded fault rates recover within 16 retries");
+                let spec = RunSpec {
+                    faults: FaultPlan::from_rates(FaultRates {
+                        crash_prob: rate,
+                        straggler_prob: rate,
+                        straggler_slowdown: 4.0,
+                        ..FaultRates::none(17)
+                    }),
+                    recovery: policy.clone(),
+                    ..RunSpec::default()
+                };
+                let (_, m) = run(&p.plan.dag, &schedule, &p.gt, spec)
+                    .expect("bounded fault rates recover within 16 retries");
                 rows.push(FaultSweepRow {
                     scheduler: name.into(),
                     policy: (*policy_name).into(),

@@ -21,12 +21,14 @@ use crate::adapt::traced_adapt_pair;
 use crate::setup::prepare;
 use ditto_audit::{check_trace, RaceOptions, RaceReport};
 use ditto_cluster::{ResourceManager, ServerId};
-use ditto_core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
+use ditto_core::{
+    DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext,
+};
 use ditto_dag::generators::{random_dag, RandomDagConfig};
+use ditto_dag::JobDag;
 use ditto_exec::{
-    explore_random_dags, simulate, try_simulate_adaptive_traced, try_simulate_with_faults_traced,
-    AdaptiveConfig, ExecConfig, ExploreConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
-    ReschedulingContext,
+    explore_random_dags, run, simulate, AdaptiveConfig, ExecConfig, ExecError, ExploreConfig,
+    FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, Replan, ReschedulingContext, RunSpec,
 };
 use ditto_obs::{Recorder, TraceData};
 use ditto_timemodel::model::RateConfig;
@@ -111,10 +113,9 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         max_retries: 16,
         ..RecoveryPolicy::default()
     };
-    let obs = Recorder::new();
-    try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
+    let trace = record(&p.plan.dag, &schedule, &p.gt, plan, policy, Replan::Off)
         .expect("fault ladder recovers within policy bounds");
-    rows.push(row("faults", "frozen", &certify(&obs.finish())));
+    rows.push(row("faults", "frozen", &certify(&trace)));
 
     // 2. Aggressive speculation: a quarter of tasks straggle 6×, the
     // policy speculates early — spec slot intervals must stay warnings,
@@ -131,10 +132,9 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         speculation_factor: 1.2,
         ..RecoveryPolicy::default()
     };
-    let obs = Recorder::new();
-    try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
+    let trace = record(&p.plan.dag, &schedule, &p.gt, plan, policy, Replan::Off)
         .expect("speculation recovers within policy bounds");
-    rows.push(row("speculation", "frozen", &certify(&obs.finish())));
+    rows.push(row("speculation", "frozen", &certify(&trace)));
 
     // 3. Whole-server failover with suffix rescheduling: server 0 dies a
     // third of the way in; survivors repack (post-failover occupancy is
@@ -145,18 +145,10 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         max_retries: 16,
         ..RecoveryPolicy::default()
     };
-    let obs = Recorder::new();
-    try_simulate_with_faults_traced(
-        &p.plan.dag,
-        &schedule,
-        &p.gt,
-        &plan,
-        &policy,
-        Some(&ctx),
-        &obs,
-    )
-    .expect("failover recovers within policy bounds");
-    rows.push(row("failover", "frozen", &certify(&obs.finish())));
+    let replan = Replan::OnServerFailure(ctx);
+    let trace = record(&p.plan.dag, &schedule, &p.gt, plan, policy, replan)
+        .expect("failover recovers within policy bounds");
+    rows.push(row("failover", "frozen", &certify(&trace)));
 
     // 4. The adaptive 2×-drift exemplar pair (same fixed-seed pair the
     // cross-run diff quick-start traces): both the frozen baseline and
@@ -195,19 +187,9 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
         ..RecoveryPolicy::default()
     };
     let gt = GroundTruth::new(ExecConfig::default());
-    let obs = Recorder::new();
-    try_simulate_adaptive_traced(
-        &dag,
-        &splice_schedule,
-        &gt,
-        &plan,
-        &policy,
-        &splice_ctx,
-        &AdaptiveConfig::default(),
-        &obs,
-    )
-    .expect("drift replan recovers within policy bounds");
-    let trace = obs.finish();
+    let replan = Replan::Adaptive(splice_ctx, AdaptiveConfig::default());
+    let trace = record(&dag, &splice_schedule, &gt, plan, policy, replan)
+        .expect("drift replan recovers within policy bounds");
     assert!(
         trace.events.iter().any(|e| e.name == "hb.seam"),
         "the replan-splice scenario must actually splice (seam edges emitted)"
@@ -215,6 +197,27 @@ pub fn race_certify() -> Vec<RaceSweepRow> {
     rows.push(row("replan-splice", "adaptive", &certify(&trace)));
 
     rows
+}
+
+/// One recorded run of `schedule` on `dag`; returns its telemetry.
+fn record(
+    dag: &JobDag,
+    schedule: &Schedule,
+    gt: &GroundTruth,
+    faults: FaultPlan,
+    recovery: RecoveryPolicy,
+    replan: Replan<'_>,
+) -> Result<TraceData, ExecError> {
+    let obs = Recorder::new();
+    let spec = RunSpec {
+        faults,
+        recovery,
+        replan,
+        recorder: Some(&obs),
+        journal: None,
+    };
+    run(dag, schedule, gt, spec)?;
+    Ok(obs.finish())
 }
 
 /// One model-checked DAG.

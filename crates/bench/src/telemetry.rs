@@ -9,11 +9,8 @@
 //! runtime monitor then consume.
 
 use crate::setup::{default_testbed, prepare};
-use ditto_core::{DittoScheduler, Objective, SchedulingContext};
-use ditto_exec::{
-    try_simulate_with_faults, try_simulate_with_faults_traced, FaultPlan, FaultRates, JobMetrics,
-    RecoveryPolicy,
-};
+use ditto_core::{DittoScheduler, Objective, Schedule, SchedulingContext};
+use ditto_exec::{run, FaultPlan, FaultRates, JobMetrics, RecoveryPolicy, RunSpec};
 use ditto_obs::{critical_path, CriticalPathReport, Recorder, TraceData};
 use ditto_sql::queries::Query;
 use ditto_storage::Medium;
@@ -67,10 +64,15 @@ pub fn traced_fault_run() -> TracedRun {
         },
         &obs,
     );
-    let (plan, policy) = exemplar_faults();
-    let (_, metrics) =
-        try_simulate_with_faults_traced(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None, &obs)
-            .expect("rate-0.05 faults recover within 16 retries");
+    let (faults, recovery) = exemplar_faults();
+    let spec = RunSpec {
+        faults,
+        recovery,
+        recorder: Some(&obs),
+        ..RunSpec::default()
+    };
+    let (_, metrics) = run(&p.plan.dag, &schedule, &p.gt, spec)
+        .expect("rate-0.05 faults recover within 16 retries");
     let data = obs.finish();
     let critical_path = critical_path(&data);
     TracedRun {
@@ -123,28 +125,27 @@ pub fn telemetry_overhead() -> Vec<TelemetryOverheadRow> {
         objective: Objective::Jct,
     };
     let (plan, policy) = exemplar_faults();
+    let simulate = |schedule: &Schedule, recorder: Option<&Recorder>| {
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: policy.clone(),
+            recorder,
+            ..RunSpec::default()
+        };
+        run(&p.plan.dag, schedule, &p.gt, spec).expect("recoverable")
+    };
 
     let run_untraced = || {
         let t0 = Instant::now();
         let schedule = DittoScheduler::new().schedule_traced(&ctx, &Recorder::disabled());
-        let out = try_simulate_with_faults(&p.plan.dag, &schedule, &p.gt, &plan, &policy, None)
-            .expect("recoverable");
+        let out = simulate(&schedule, None);
         (t0.elapsed().as_secs_f64(), out)
     };
     let run_traced = || {
         let obs = Recorder::new();
         let t0 = Instant::now();
         let schedule = DittoScheduler::new().schedule_traced(&ctx, &obs);
-        let out = try_simulate_with_faults_traced(
-            &p.plan.dag,
-            &schedule,
-            &p.gt,
-            &plan,
-            &policy,
-            None,
-            &obs,
-        )
-        .expect("recoverable");
+        let out = simulate(&schedule, Some(&obs));
         (t0.elapsed().as_secs_f64(), out, obs.finish())
     };
 

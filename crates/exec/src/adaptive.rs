@@ -25,9 +25,9 @@
 //!
 //! The adaptive engine drives the exact same per-stage simulator
 //! ([`sim_stage`](crate::faults)) as the frozen fault engine, so with no
-//! drift and no object faults it is **bit-identical** to
-//! [`try_simulate_with_faults`](crate::faults::try_simulate_with_faults)
-//! — the property the `adaptive_properties` suite pins down.
+//! drift and no object faults a [`Replan::Adaptive`](crate::Replan) run
+//! is **bit-identical** to a frozen one — the property the
+//! `adaptive_properties` suite pins down.
 //!
 //! Escalation ladder (DESIGN.md §6g): storage read retry → lineage
 //! re-execution of the producing task (both inside `sim_stage`; the
@@ -40,6 +40,7 @@ use crate::faults::{
     finish_pass, ready_time, sim_stage, FaultPlan, RecoveryPolicy, ReschedulingContext, SimState,
 };
 use crate::groundtruth::GroundTruth;
+use crate::journal::JournalSession;
 use crate::metrics::JobMetrics;
 use crate::queue::{ReadyQueue, TieBreak};
 use crate::trace::ExecutionTrace;
@@ -143,77 +144,24 @@ pub struct ReplanRecord {
     pub decision_seq: u64,
 }
 
-/// Simulate `schedule` on `dag` adaptively: same fault semantics as
-/// [`try_simulate_with_faults`](crate::faults::try_simulate_with_faults),
-/// plus online drift detection and elastic suffix re-optimization through
-/// `ctx`. See the module docs for the loop.
-pub fn try_simulate_adaptive(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &AdaptiveConfig,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    // Debug builds run traced and gate the event stream through the race
-    // checker: replan splices and lineage recoveries are exactly where
-    // ordering hazards would creep in. Same fidelity either way — the
-    // telemetry tests pin traced and untraced runs to identical metrics.
-    #[cfg(debug_assertions)]
-    {
-        let obs = Recorder::new();
-        let out = try_simulate_adaptive_traced(dag, schedule, gt, plan, policy, ctx, cfg, &obs)?;
-        let race =
-            ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
-        debug_assert!(
-            race.is_clean(),
-            "race checker rejected try_simulate_adaptive's own trace:\n{}",
-            race.render()
-        );
-        Ok(out)
-    }
-    #[cfg(not(debug_assertions))]
-    try_simulate_adaptive_traced(dag, schedule, gt, plan, policy, ctx, cfg, &Recorder::disabled())
-}
-
-/// [`try_simulate_adaptive`] with telemetry: replan decisions land on the
-/// scheduler track (`sched.replan` events) alongside the usual task/stage
-/// spans and fault events.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_adaptive_traced(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &AdaptiveConfig,
-    obs: &Recorder,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    try_simulate_adaptive_tie(
-        dag,
-        schedule,
-        gt,
-        plan,
-        policy,
-        ctx,
-        cfg,
-        obs,
-        &mut TieBreak::canonical(),
-        None,
-    )
-}
-
-/// [`try_simulate_adaptive_traced`] under an explicit tie-break
-/// controller. Stages simulate in (ready time, controller choice) order;
-/// drift observation and replan decisions run at **batch boundaries** —
-/// only after every member of a simultaneous-event batch has simulated,
-/// and then in stage-id order — so the decision sequence sees an
+/// The adaptive engine behind [`crate::run`] ([`crate::Replan::Adaptive`]):
+/// the frozen engine's fault semantics plus online drift detection and
+/// elastic suffix re-optimization through `ctx` (see the module docs for
+/// the loop). With a journal, every gate-passing replan decision journals
+/// (record + suffix + spliced schedule) before its event fires; on
+/// resume, completed stages restore from checkpoints, the drift gates
+/// re-run deterministically over the restored state, and journaled
+/// decisions substitute for the optimizer calls they gate — recovery
+/// never re-optimizes, which is what bounds its overhead.
+///
+/// Stages simulate in (ready time, `tie` choice) order; drift
+/// observation and replan decisions run at **batch boundaries** — only
+/// after every member of a simultaneous-event batch has simulated, and
+/// then in stage-id order — so the decision sequence sees an
 /// order-invariant simulation state no matter how the controller
 /// sequenced the batch. The model checker relies on exactly this.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_simulate_adaptive_tie(
+pub(crate) fn simulate_adaptive(
     dag: &JobDag,
     schedule: &Schedule,
     gt: &GroundTruth,
@@ -223,9 +171,8 @@ pub(crate) fn try_simulate_adaptive_tie(
     cfg: &AdaptiveConfig,
     obs: &Recorder,
     tie: &mut TieBreak,
-    mut jr: Option<&mut crate::journal::JournalSession>,
+    mut jr: Option<&mut JournalSession>,
 ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
     let n = dag.num_stages();
     let order = dag.topo_order().map_err(|_| ExecError::CyclicDag)?;
     let mut state = SimState::new(dag, plan, schedule);
@@ -256,7 +203,7 @@ pub(crate) fn try_simulate_adaptive_tie(
             match next {
                 Some((r, s)) if r == batch_ready => {
                     let restored = match jr.as_deref_mut() {
-                        Some(j) => j.try_restore(s, &mut state, dag, obs),
+                        Some(j) => j.try_restore(s, &mut state, dag, gt, obs),
                         None => false,
                     };
                     if !restored {
@@ -356,54 +303,13 @@ pub(crate) fn try_simulate_adaptive_tie(
                         s.0
                     )));
                 }
-                if obs.is_enabled() {
-                    obs.event(
-                        "sched.replan",
-                        Track::scheduler(0),
-                        now,
-                        vec![
-                            ("trigger", match rec.trigger {
-                                ReplanTrigger::Drift => "drift",
-                                ReplanTrigger::ObjectRecovery => "object-recovery",
-                            }
-                            .into()),
-                            ("at_stage", rec.at_stage.into()),
-                            ("factor", rec.factor.into()),
-                            ("suffix_stages", u64::from(rec.suffix_stages).into()),
-                            ("old_predicted_jct", rec.old_predicted_jct.into()),
-                            ("new_predicted_jct", rec.new_predicted_jct.into()),
-                            ("applied", u64::from(rec.applied).into()),
-                            ("risk_penalty", rec.risk_penalty.into()),
-                            ("audit_clean", u64::from(rec.audit_clean).into()),
-                            ("corr_read", rec.corrections.read.into()),
-                            ("corr_compute", rec.corrections.compute.into()),
-                            ("corr_write", rec.corrections.write.into()),
-                            ("decision_seq", rec.decision_seq.into()),
-                        ],
-                    );
+                if rec.applied && j_sched.is_none() {
+                    return Err(ExecError::Journal(
+                        "applied replan was journaled without its spliced schedule".into(),
+                    ));
                 }
-                if rec.applied {
-                    let Some(stored) = j_sched else {
-                        return Err(ExecError::Journal(
-                            "applied replan was journaled without its spliced schedule".into(),
-                        ));
-                    };
-                    if obs.is_enabled() {
-                        for e in dag.edges() {
-                            if !suffix[e.src.index()] && suffix[e.dst.index()] {
-                                obs.event(
-                                    "hb.seam",
-                                    Track::scheduler(0),
-                                    now,
-                                    vec![
-                                        ("edge", (e.id.index() as u64).into()),
-                                        ("src_stage", e.src.0.into()),
-                                        ("dst_stage", e.dst.0.into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
+                announce_replan(obs, dag, &rec, &suffix, now);
+                if let Some(stored) = j_sched.filter(|_| rec.applied) {
                     state.stats.rescheduled_stages += rec.suffix_stages;
                     cur = stored;
                 }
@@ -559,56 +465,10 @@ pub(crate) fn try_simulate_adaptive_tie(
         if let Some(j) = jr.as_deref_mut() {
             j.append_replan(&record, &suffix, if applied { Some(&spliced) } else { None })?;
         }
-        if obs.is_enabled() {
-            obs.event(
-                "sched.replan",
-                Track::scheduler(0),
-                now,
-                vec![
-                    ("trigger", match trigger {
-                        ReplanTrigger::Drift => "drift",
-                        ReplanTrigger::ObjectRecovery => "object-recovery",
-                    }
-                    .into()),
-                    ("at_stage", s.0.into()),
-                    ("factor", ev.factor.into()),
-                    ("suffix_stages", (n_suffix as u64).into()),
-                    ("old_predicted_jct", old_predicted_jct.into()),
-                    ("new_predicted_jct", new_predicted_jct.into()),
-                    ("applied", if applied { 1u64 } else { 0u64 }.into()),
-                    ("risk_penalty", risk_penalty.into()),
-                    ("audit_clean", if audit_clean { 1u64 } else { 0u64 }.into()),
-                    ("corr_read", corrections.global.read.into()),
-                    ("corr_compute", corrections.global.compute.into()),
-                    ("corr_write", corrections.global.write.into()),
-                    ("decision_seq", decision_seq.into()),
-                ],
-            );
-        }
+        announce_replan(obs, dag, &record, &suffix, now);
         replans.push(record);
         last_decision = Some((ev.factor, remaining));
         if applied {
-            if obs.is_enabled() {
-                // Seam edges of the applied splice: prefix producer →
-                // replanned consumer. The race checker pins seam reads to
-                // this instant — a consumer streaming through shared
-                // memory across a seam would be reading state the
-                // replanned placement no longer guarantees.
-                for e in dag.edges() {
-                    if !suffix[e.src.index()] && suffix[e.dst.index()] {
-                        obs.event(
-                            "hb.seam",
-                            Track::scheduler(0),
-                            now,
-                            vec![
-                                ("edge", (e.id.index() as u64).into()),
-                                ("src_stage", e.src.0.into()),
-                                ("dst_stage", e.dst.0.into()),
-                            ],
-                        );
-                    }
-                }
-            }
             state.stats.rescheduled_stages += n_suffix as u32;
             cur = spliced;
         }
@@ -625,6 +485,59 @@ pub(crate) fn try_simulate_adaptive_tie(
         .map(|r| r.suffix_stages)
         .sum();
     Ok((pass.trace, pass.metrics))
+}
+
+/// Announce a replan decision on the scheduler track: its `sched.replan`
+/// event and, for an applied splice, one `hb.seam` per seam edge (prefix
+/// producer → replanned consumer). The race checker pins seam reads to
+/// this instant — a consumer streaming through shared memory across a
+/// seam would be reading state the replanned placement no longer
+/// guarantees.
+fn announce_replan(obs: &Recorder, dag: &JobDag, rec: &ReplanRecord, suffix: &[bool], now: f64) {
+    if !obs.is_enabled() {
+        return;
+    }
+    let trigger = match rec.trigger {
+        ReplanTrigger::Drift => "drift",
+        ReplanTrigger::ObjectRecovery => "object-recovery",
+    };
+    obs.event(
+        "sched.replan",
+        Track::scheduler(0),
+        now,
+        vec![
+            ("trigger", trigger.into()),
+            ("at_stage", rec.at_stage.into()),
+            ("factor", rec.factor.into()),
+            ("suffix_stages", u64::from(rec.suffix_stages).into()),
+            ("old_predicted_jct", rec.old_predicted_jct.into()),
+            ("new_predicted_jct", rec.new_predicted_jct.into()),
+            ("applied", u64::from(rec.applied).into()),
+            ("risk_penalty", rec.risk_penalty.into()),
+            ("audit_clean", u64::from(rec.audit_clean).into()),
+            ("corr_read", rec.corrections.read.into()),
+            ("corr_compute", rec.corrections.compute.into()),
+            ("corr_write", rec.corrections.write.into()),
+            ("decision_seq", rec.decision_seq.into()),
+        ],
+    );
+    if !rec.applied {
+        return;
+    }
+    for e in dag.edges() {
+        if !suffix[e.src.index()] && suffix[e.dst.index()] {
+            obs.event(
+                "hb.seam",
+                Track::scheduler(0),
+                now,
+                vec![
+                    ("edge", (e.id.index() as u64).into()),
+                    ("src_stage", e.src.0.into()),
+                    ("dst_stage", e.dst.0.into()),
+                ],
+            );
+        }
+    }
 }
 
 /// Expected serial lineage-recovery delay of a plan's not-yet-run suffix
@@ -662,8 +575,8 @@ fn expected_recovery_delay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::try_simulate_with_faults;
     use crate::groundtruth::ExecConfig;
+    use crate::sim::{run, Replan, RunSpec};
     use ditto_cluster::ResourceManager;
     use ditto_core::{
         DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext,
@@ -701,23 +614,47 @@ mod tests {
         }
     }
 
+    fn frozen(
+        dag: &JobDag,
+        schedule: &Schedule,
+        gt: &GroundTruth,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+    ) -> (ExecutionTrace, JobMetrics) {
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: policy.clone(),
+            ..RunSpec::default()
+        };
+        run(dag, schedule, gt, spec).unwrap()
+    }
+
+    fn adaptive(
+        dag: &JobDag,
+        schedule: &Schedule,
+        gt: &GroundTruth,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+        ctx: ReschedulingContext<'_>,
+        cfg: AdaptiveConfig,
+    ) -> (ExecutionTrace, JobMetrics) {
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: policy.clone(),
+            replan: Replan::Adaptive(ctx, cfg),
+            ..RunSpec::default()
+        };
+        run(dag, schedule, gt, spec).unwrap()
+    }
+
     #[test]
     fn no_faults_is_bit_identical_to_frozen_engine() {
         let (dag, model, rm, schedule, gt) = fixture(&[48, 32]);
         let plan = FaultPlan::none();
         let policy = RecoveryPolicy::none();
         let (ft, fm) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (at, am) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            frozen(&dag, &schedule, &gt, &plan, &policy);
+        let (at, am) = adaptive(&dag, &schedule, &gt, &plan, &policy, ctx(&model, &rm), AdaptiveConfig::default());
         assert!(at.replans.is_empty(), "no drift may be detected fault-free");
         assert_eq!(at.tasks, ft.tasks);
         assert_eq!(am, fm);
@@ -732,17 +669,8 @@ mod tests {
         let plan = FaultPlan::none().with_drift(1.0);
         let policy = RecoveryPolicy::default();
         let (ft, fm) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (at, am) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            frozen(&dag, &schedule, &gt, &plan, &policy);
+        let (at, am) = adaptive(&dag, &schedule, &gt, &plan, &policy, ctx(&model, &rm), AdaptiveConfig::default());
         assert!(at.replans.is_empty());
         assert_eq!(at.tasks, ft.tasks);
         assert_eq!(am, fm);
@@ -753,16 +681,7 @@ mod tests {
         let (dag, model, rm, schedule, gt) = fixture(&[24, 16]);
         let plan = FaultPlan::none().with_drift(2.0);
         let policy = RecoveryPolicy::default();
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+        let (trace, metrics) = adaptive(&dag, &schedule, &gt, &plan, &policy, ctx(&model, &rm), AdaptiveConfig::default());
         assert!(!trace.replans.is_empty(), "2x drift must trip the band");
         for r in &trace.replans {
             assert!(r.audit_clean, "every splice must certify clean");
@@ -794,16 +713,7 @@ mod tests {
             max_replans: 1,
             ..Default::default()
         };
-        let (trace, _) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx(&model, &rm),
-            &cfg,
-        )
-        .unwrap();
+        let (trace, _) = adaptive(&dag, &schedule, &gt, &plan, &RecoveryPolicy::default(), ctx(&model, &rm), cfg);
         assert!(trace.replans.len() <= 1);
     }
 
@@ -817,16 +727,7 @@ mod tests {
             loss_prob: 0.9,
             ..crate::faults::FaultRates::none(7)
         });
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+        let (trace, metrics) = adaptive(&dag, &schedule, &gt, &plan, &RecoveryPolicy::default(), ctx(&model, &rm), AdaptiveConfig::default());
         assert!(metrics.faults.lineage_reexecs > 0);
         if let Some(r) = trace.replans.first() {
             assert_eq!(r.trigger, ReplanTrigger::ObjectRecovery);
@@ -843,17 +744,8 @@ mod tests {
         let plan = FaultPlan::none().with_drift(2.0);
         let policy = RecoveryPolicy::default();
         let (_, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (trace, adaptive) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            frozen(&dag, &schedule, &gt, &plan, &policy);
+        let (trace, adaptive) = adaptive(&dag, &schedule, &gt, &plan, &policy, ctx(&model, &rm), AdaptiveConfig::default());
         assert!(
             adaptive.jct <= frozen.jct + 1e-9,
             "adaptive {} must not lose to frozen {}",
@@ -878,17 +770,8 @@ mod tests {
             .with_kind_drift(ditto_dag::StageKind::GroupBy, 2.0);
         let policy = RecoveryPolicy::default();
         let (_, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap();
-        let (trace, adaptive) = try_simulate_adaptive(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &policy,
-            &ctx(&model, &rm),
-            &AdaptiveConfig::default(),
-        )
-        .unwrap();
+            frozen(&dag, &schedule, &gt, &plan, &policy);
+        let (trace, adaptive) = adaptive(&dag, &schedule, &gt, &plan, &policy, ctx(&model, &rm), AdaptiveConfig::default());
         assert!(
             trace.replans.iter().any(|r| r.applied),
             "kind drift on a constrained cluster must apply a replan"

@@ -18,14 +18,13 @@
 //! script increments the last incrementable position and truncates the
 //! tail (depth-first over the trie of schedules).
 
-use crate::adaptive::{try_simulate_adaptive_tie, AdaptiveConfig};
+use crate::adaptive::AdaptiveConfig;
 use crate::error::ExecError;
-use crate::faults::{
-    sim_pass_with, FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext,
-};
+use crate::faults::{FaultPlan, FaultRates, RecoveryPolicy, ReschedulingContext};
 use crate::groundtruth::{ExecConfig, GroundTruth};
 use crate::metrics::JobMetrics;
 use crate::queue::TieBreak;
+use crate::sim::{run_with_tie, Replan, RunSpec};
 use crate::trace::ExecutionTrace;
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext};
@@ -141,10 +140,10 @@ fn next_script(decisions: &[u32], arity: &[u32]) -> Option<Vec<u32>> {
 
 /// Explore every tie-break interleaving of one simulated job, frozen or
 /// adaptive. `adaptive` switches the engine:
-/// `Some((ctx, cfg))` drives [`crate::try_simulate_adaptive`] (replans
-/// enabled), `None` drives the frozen fault engine. Returns the outcome
-/// with any divergence shrunk to a minimal witness; engine-level errors
-/// (retries exhausted, infeasible splice) propagate.
+/// `Some((ctx, cfg))` runs under [`Replan::Adaptive`] (replans enabled),
+/// `None` under [`Replan::Off`]. Returns the outcome with any divergence
+/// shrunk to a minimal witness; engine-level errors (retries exhausted,
+/// infeasible splice) propagate.
 pub fn explore_schedule(
     dag: &JobDag,
     schedule: &Schedule,
@@ -154,17 +153,16 @@ pub fn explore_schedule(
     adaptive: Option<(&ReschedulingContext<'_>, &AdaptiveConfig)>,
     cfg: &ExploreConfig,
 ) -> Result<ExploreOutcome, ExecError> {
+    schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
     let muted = Recorder::disabled();
-    let run = |mut tie: TieBreak| -> Result<RunResult, ExecError> {
-        let (trace, metrics) = match adaptive {
-            Some((ctx, acfg)) => try_simulate_adaptive_tie(
-                dag, schedule, gt, plan, policy, ctx, acfg, &muted, &mut tie, None,
-            )?,
-            None => {
-                let pass = sim_pass_with(dag, schedule, gt, plan, policy, &muted, &mut tie)?;
-                (pass.trace, pass.metrics)
-            }
-        };
+    let mut spec = RunSpec {
+        faults: plan.clone(),
+        recovery: policy.clone(),
+        replan: adaptive.map_or(Replan::Off, |(ctx, acfg)| Replan::Adaptive(ctx.clone(), *acfg)),
+        ..RunSpec::default()
+    };
+    let mut run = |mut tie: TieBreak| -> Result<RunResult, ExecError> {
+        let (trace, metrics) = run_with_tie(dag, schedule, gt, &mut spec, &muted, &mut tie)?;
         Ok(RunResult {
             metrics,
             trace,

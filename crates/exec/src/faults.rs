@@ -27,6 +27,7 @@
 
 use crate::error::ExecError;
 use crate::groundtruth::GroundTruth;
+use crate::journal::JournalSession;
 use crate::metrics::JobMetrics;
 use crate::queue::{ReadyQueue, TieBreak};
 use crate::trace::{ExecutionTrace, TaskTrace};
@@ -611,38 +612,24 @@ pub struct ReschedulingContext<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Fault-aware simulation
+// Fault-aware simulation (the frozen-schedule engine)
 // ---------------------------------------------------------------------
 
-/// Simulate `schedule` on `dag` under an injected [`FaultPlan`] and a
-/// [`RecoveryPolicy`]. With an empty plan and [`RecoveryPolicy::none`]
-/// this reproduces [`crate::sim::simulate`] exactly.
+/// The frozen-schedule engine behind [`crate::run`]: plays `schedule`
+/// under `plan` and `policy`. With an empty plan and
+/// [`RecoveryPolicy::none`] this is the plain fault-free run.
 ///
 /// On a whole-server failure, attempts running on the failed server are
 /// killed and re-executed on a survivor; if
 /// [`RecoveryPolicy::reschedule_on_server_failure`] is set and a
 /// [`ReschedulingContext`] is supplied, stages that had not launched at
-/// the failure instant are replanned by [`ditto_core::joint_optimize`]
-/// against the shrunk resource snapshot (surviving work keeps its
-/// original schedule).
-pub fn try_simulate_with_faults(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    resched: Option<&ReschedulingContext<'_>>,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    try_simulate_with_faults_traced(dag, schedule, gt, plan, policy, resched, &Recorder::disabled())
-}
-
-/// [`try_simulate_with_faults`] with telemetry: task/stage/attempt spans,
-/// fault events, per-medium byte counters and task-duration histograms
-/// land on `obs` (sim-clock timestamps). The replanning path routes the
-/// re-optimization through [`joint_optimize_traced`], so rescheduling
-/// decisions appear on the scheduler track of the same trace. A disabled
-/// recorder makes this identical to [`try_simulate_with_faults`].
-pub fn try_simulate_with_faults_traced(
+/// the failure instant are replanned by [`joint_optimize_traced`] against
+/// the shrunk resource snapshot (surviving work keeps its original
+/// schedule). With a journal, that failover decision journals before it
+/// takes effect, and a resumed session replays the journaled decision
+/// instead of re-optimizing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn simulate_frozen(
     dag: &JobDag,
     schedule: &Schedule,
     gt: &GroundTruth,
@@ -650,47 +637,95 @@ pub fn try_simulate_with_faults_traced(
     policy: &RecoveryPolicy,
     resched: Option<&ReschedulingContext<'_>>,
     obs: &Recorder,
+    tie: &mut TieBreak,
+    mut jr: Option<&mut JournalSession>,
 ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    schedule
-        .validate(dag)
-        .map_err(ExecError::InvalidSchedule)?;
-    // When a replan may discard the first pass, record telemetry only for
-    // the pass whose trace is actually returned.
-    let replan_possible = plan.first_server_failure().is_some()
-        && resched.is_some()
-        && policy.reschedule_on_server_failure;
-    let muted = Recorder::disabled();
-    let pass1_obs = if replan_possible { &muted } else { obs };
-    let pass1 = sim_pass(dag, schedule, gt, plan, policy, pass1_obs)?;
-    let Some((failed, at_time)) = plan.first_server_failure() else {
-        return Ok((pass1.trace, pass1.metrics));
-    };
-    let (Some(ctx), true) = (resched, policy.reschedule_on_server_failure) else {
-        return Ok((pass1.trace, pass1.metrics));
-    };
-    // The not-yet-started suffix: stages whose containers had not launched
-    // when the server died (per the pre-replan timeline).
-    let suffix: Vec<bool> = pass1.stage_launch.iter().map(|&l| l >= at_time).collect();
-    let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;
-    if n_suffix == 0 {
-        // Pass 1 ran muted but is the final result: re-run it recorded.
-        // The simulation is deterministic, so the timeline is identical.
-        if obs.is_enabled() {
-            let pass = sim_pass(dag, schedule, gt, plan, policy, obs)?;
-            return Ok((pass.trace, pass.metrics));
+    // The failover decision: (decision_seq, failed server, failure
+    // instant, replanned suffix, spliced schedule).
+    let mut failover = None;
+    if let Some((seq, failed_idx, at_j, suffix, stored)) =
+        jr.as_deref_mut().and_then(JournalSession::take_failover)
+    {
+        // Replay: the failover was decided and journaled before the
+        // crash. Verify the plan still injects that exact failure, then
+        // run the journaled hybrid directly — no re-optimization.
+        let Some((failed, at_time)) = plan.first_server_failure() else {
+            return Err(ExecError::Journal(
+                "journaled failover but the fault plan has no server failure".into(),
+            ));
+        };
+        if failed.index() as u32 != failed_idx || at_time.to_bits() != at_j.to_bits() {
+            return Err(ExecError::Journal(format!(
+                "journaled failover (server {failed_idx} at {at_j}) does not match the fault plan (server {} at {at_time})",
+                failed.index()
+            )));
         }
-        return Ok((pass1.trace, pass1.metrics));
+        failover = Some((seq, failed, at_time, suffix, stored));
+    } else if let (Some((failed, at_time)), Some(ctx), true) = (
+        plan.first_server_failure(),
+        resched,
+        policy.reschedule_on_server_failure,
+    ) {
+        // A muted, unjournaled probe pass finds the suffix: stages whose
+        // containers had not launched when the server died. It is
+        // discarded — recording or journaling it would commit a timeline
+        // the final run never reaches.
+        let probe = sim_pass(
+            dag,
+            schedule,
+            gt,
+            plan,
+            policy,
+            &Recorder::disabled(),
+            &mut TieBreak::canonical(),
+            None,
+        )?;
+        let suffix: Vec<bool> = probe.stage_launch.iter().map(|&l| l >= at_time).collect();
+        if suffix.contains(&true) {
+            let mut rm = ctx.resources.clone();
+            rm.fail_server(failed.index());
+            let needed = dag.num_stages() as u32;
+            if rm.total_free() < needed {
+                return Err(ExecError::InsufficientCapacity {
+                    needed,
+                    available: rm.total_free(),
+                });
+            }
+            let replanned =
+                joint_optimize_traced(dag, ctx.model, &rm, ctx.objective, &ctx.options, obs);
+            let hybrid = schedule.splice(dag, &replanned, &suffix);
+            // Feasibility certificate on the spliced schedule (debug
+            // builds): the replan optimized against the shrunk snapshot,
+            // but the splice mixes in prefix placements the optimizer
+            // never saw — re-count the suffix against the surviving
+            // slots before trusting it.
+            #[cfg(debug_assertions)]
+            {
+                let report = ditto_audit::audit_splice(dag, &rm, &hybrid, &suffix);
+                if !report.is_clean() {
+                    return Err(ExecError::InvalidSchedule(report.render()));
+                }
+            }
+            // Write-ahead: the decision journals before its event fires.
+            // Decision 0 is the schedule commit; the (single) failover is
+            // decision 1.
+            if let Some(j) = jr.as_deref_mut() {
+                j.append_failover(
+                    1,
+                    failed.index() as u32,
+                    at_time,
+                    suffix.clone(),
+                    hybrid.clone(),
+                )?;
+            }
+            failover = Some((1, failed, at_time, suffix, hybrid));
+        }
     }
-    let mut rm = ctx.resources.clone();
-    rm.fail_server(failed.index());
-    let needed = dag.num_stages() as u32;
-    if rm.total_free() < needed {
-        return Err(ExecError::InsufficientCapacity {
-            needed,
-            available: rm.total_free(),
-        });
-    }
-    let replanned = joint_optimize_traced(dag, ctx.model, &rm, ctx.objective, &ctx.options, obs);
+    let Some((seq, failed, at_time, suffix, hybrid)) = failover else {
+        let pass = sim_pass(dag, schedule, gt, plan, policy, obs, tie, jr)?;
+        return Ok((pass.trace, pass.metrics));
+    };
+    let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;
     if obs.is_enabled() {
         obs.event(
             "sched.failover",
@@ -700,29 +735,15 @@ pub fn try_simulate_with_faults_traced(
                 ("failed_server", (failed.index() as u64).into()),
                 ("at_time", at_time.into()),
                 ("suffix_stages", (n_suffix as u64).into()),
-                // Decision 0 is the schedule commit; the (single) failover
-                // reschedule is decision 1 — the same sequence the journal
-                // records, so trace diffing can align crashed vs recovered
-                // runs.
-                ("decision_seq", 1u64.into()),
+                // The same sequence the journal records, so trace diffing
+                // can align crashed vs recovered runs.
+                ("decision_seq", seq.into()),
             ],
         );
     }
-    let hybrid = schedule.splice(dag, &replanned, &suffix);
-    // Feasibility certificate on the spliced schedule (debug builds): the
-    // replan optimized against the shrunk snapshot, but the splice mixes
-    // in prefix placements the optimizer never saw — re-count the suffix
-    // against the surviving slots before trusting it.
-    #[cfg(debug_assertions)]
-    {
-        let report = ditto_audit::audit_splice(dag, &rm, &hybrid, &suffix);
-        if !report.is_clean() {
-            return Err(ExecError::InvalidSchedule(report.render()));
-        }
-    }
-    let mut pass2 = sim_pass(dag, &hybrid, gt, plan, policy, obs)?;
-    pass2.metrics.faults.rescheduled_stages = n_suffix;
-    Ok((pass2.trace, pass2.metrics))
+    let mut pass = sim_pass(dag, &hybrid, gt, plan, policy, obs, tie, jr)?;
+    pass.metrics.faults.rescheduled_stages = n_suffix;
+    Ok((pass.trace, pass.metrics))
 }
 
 pub(crate) struct SimPass {
@@ -870,8 +891,12 @@ pub(crate) fn ready_time(state: &SimState, dag: &JobDag, s: StageId) -> f64 {
     ready
 }
 
-/// One full simulation sweep under a fixed schedule (no replanning),
-/// canonical (lowest-stage-id) tie-breaking.
+/// One full simulation sweep under a fixed schedule (no replanning):
+/// stages execute in (ready time, `tie` choice) order through a
+/// [`ReadyQueue`]. With a journal, each stage is either restored from its
+/// checkpoint or simulated and then journaled (commits + checkpoint)
+/// before its consumers unblock.
+#[allow(clippy::too_many_arguments)]
 fn sim_pass(
     dag: &JobDag,
     schedule: &Schedule,
@@ -879,22 +904,8 @@ fn sim_pass(
     plan: &FaultPlan,
     policy: &RecoveryPolicy,
     obs: &Recorder,
-) -> Result<SimPass, ExecError> {
-    sim_pass_with(dag, schedule, gt, plan, policy, obs, &mut TieBreak::canonical())
-}
-
-/// [`sim_pass`] under an explicit tie-break controller: stages execute in
-/// (ready time, controller choice) order through a [`ReadyQueue`]. The
-/// model checker (`crate::explore`) drives this with scripted and random
-/// controllers to prove the result is tie-break-invariant.
-pub(crate) fn sim_pass_with(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    obs: &Recorder,
     tie: &mut TieBreak,
+    mut jr: Option<&mut JournalSession>,
 ) -> Result<SimPass, ExecError> {
     let mut state = SimState::new(dag, plan, schedule);
     state.announce(obs);
@@ -902,7 +913,16 @@ pub(crate) fn sim_pass_with(
     let mut popped = 0usize;
     while let Some((_, s)) = queue.pop(tie) {
         popped += 1;
-        sim_stage(&mut state, dag, schedule, gt, plan, policy, obs, s)?;
+        let restored = match jr.as_deref_mut() {
+            Some(j) => j.try_restore(s, &mut state, dag, gt, obs),
+            None => false,
+        };
+        if !restored {
+            sim_stage(&mut state, dag, schedule, gt, plan, policy, obs, s)?;
+            if let Some(j) = jr.as_deref_mut() {
+                j.record_stage(s, &state, dag)?;
+            }
+        }
         queue.complete(dag, s, |c| ready_time(&state, dag, c));
     }
     if popped != dag.num_stages() {
@@ -961,75 +981,9 @@ pub(crate) fn sim_stage(
         for e in dag.in_edges(s) {
             let medium = gt.edge_medium(schedule, e.id.index());
             state.edge_medium[e.id.index()] = Some(medium);
-            if medium == Medium::SharedMemory {
-                continue; // nothing externally stored to lose
-            }
-            let src = e.src;
-            let producers = state.task_clean_time[src.index()].len();
-            for tp in 0..producers as u32 {
-                let Some(kind) = plan.object_fault(src, tp) else {
-                    continue;
-                };
-                if let Some(&healed_at) = state.heal_end.get(&(src.0, tp)) {
-                    // Healing already in flight (or done): wait for the
-                    // regenerated object, pay nothing.
-                    if ready < healed_at {
-                        recovery = recovery.max(healed_at - ready);
-                    }
-                    continue;
-                }
-                let reexec = state.task_clean_time[src.index()][tp as usize];
-                state.heal_end.insert((src.0, tp), ready + reexec);
-                let d_src = producers as u32;
-                let wasted = gt.task_memory_gb(dag, src, d_src) * reexec;
-                // Charges go to the *producer* stage's bucket: the healed
-                // task belongs to `src`, and producer-keyed attribution
-                // keeps the totals independent of which reader got there
-                // first.
-                let bucket = &mut state.stage_stats[src.index()];
-                match kind {
-                    ObjectFaultKind::Loss => bucket.object_losses += 1,
-                    ObjectFaultKind::Corruption => bucket.object_corruptions += 1,
-                }
-                bucket.lineage_reexecs += 1;
-                bucket.extra_attempts += 1;
-                bucket.wasted_gb_s += wasted;
-                bucket.recovery_delay_s += reexec;
-                recovery = recovery.max(reexec);
-                state.lineage_log.push(crate::journal::LineageHit {
-                    reader_stage: s.0,
-                    src_stage: src.0,
-                    src_task: tp,
-                    corrupt: kind == ObjectFaultKind::Corruption,
-                    detect_at: ready,
-                    reexec_s: reexec,
-                });
-                if obs.is_enabled() {
-                    let name = match kind {
-                        ObjectFaultKind::Loss => "fault.object_lost",
-                        ObjectFaultKind::Corruption => "fault.object_corrupt",
-                    };
-                    obs.event(
-                        name,
-                        Track::storage(),
-                        ready,
-                        vec![
-                            ("stage", src.0.into()),
-                            ("task", tp.into()),
-                            ("reader_stage", s.0.into()),
-                        ],
-                    );
-                    obs.event(
-                        "recovery.lineage_reexec",
-                        Track::storage(),
-                        ready + reexec,
-                        vec![
-                            ("stage", src.0.into()),
-                            ("task", tp.into()),
-                            ("reexec_s", reexec.into()),
-                        ],
-                    );
-                }
+            if medium != Medium::SharedMemory {
+                let wait = heal_faulted_objects(state, dag, gt, plan, obs, s, e.src, ready);
+                recovery = recovery.max(wait);
             }
         }
         ready += recovery;
@@ -1040,6 +994,18 @@ pub(crate) fn sim_stage(
         let d = schedule.dop[s.index()];
         let mem = gt.task_memory_gb(dag, s, d);
         let placement = &schedule.placement[s.index()];
+        // Co-located inputs lost with a failed server are read from the
+        // external store after lineage re-execution (`spilled` steps).
+        let lost = lost_shm_inputs(state, dag, s);
+        let spilled = if lost.is_empty() {
+            Vec::new()
+        } else {
+            let mut external = schedule.clone();
+            for &(e, _, _) in &lost {
+                external.colocated[e] = false;
+            }
+            gt.stage_tasks(dag, &external, s)
+        };
 
         let mut outcomes: Vec<TaskOutcome> = Vec::with_capacity(steps.len());
         for (t, st) in steps.iter().enumerate() {
@@ -1062,7 +1028,12 @@ pub(crate) fn sim_stage(
                         server = alt;
                     }
                 }
-                let read_start = (launch + st.setup).max(ready);
+                let mut read_start = (launch + st.setup).max(ready);
+                let mut read = read;
+                if reads_lost(state, &lost, server, read_start) {
+                    read_start = heal_lost_shm(state, dag, gt, plan, obs, s, &lost, read_start);
+                    read = spilled[t as usize].read * slow;
+                }
                 let compute_start = (read_start + read).max(read_gate);
                 let write_start = compute_start + compute;
                 let end = write_start + write;
@@ -1155,8 +1126,13 @@ pub(crate) fn sim_stage(
                 }
                 let st = &steps[t];
                 let spec_launch = o.first_launch + threshold;
-                let rs = (spec_launch + st.setup).max(ready);
-                let cs = (rs + st.read).max(read_gate);
+                let mut rs = (spec_launch + st.setup).max(ready);
+                let mut read = st.read;
+                if reads_lost(state, &lost, o.server, rs) {
+                    rs = heal_lost_shm(state, dag, gt, plan, obs, s, &lost, rs);
+                    read = spilled[t].read;
+                }
+                let cs = (rs + read).max(read_gate);
                 // A clean copy escapes the per-task slowdown but not the
                 // environmental compute drift.
                 let ws = cs + st.compute * drift;
@@ -1243,12 +1219,7 @@ pub(crate) fn sim_stage(
         observed.read += recovery;
         state.stage_observed[s.index()] = observed;
         state.stage_clean[s.index()] = clean_sum.scaled(inv);
-        // Per-task shuffle volume estimates for telemetry consumers.
-        let d_f = (d as f64).max(1.0);
-        let task_read_bytes: f64 =
-            dag.in_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
-        let task_write_bytes: f64 =
-            dag.out_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
+        let (first_row, first_attempt) = (state.trace.tasks.len(), state.trace.attempts.len());
         for (t, mut o) in outcomes.into_iter().enumerate() {
             end = end.max(o.end);
             wstart = wstart.min(o.write_start);
@@ -1267,111 +1238,6 @@ pub(crate) fn sim_stage(
                     speculative: o.final_is_spec,
                 });
             }
-            if obs.is_enabled() {
-                let srv = o.server.index() as u32;
-                obs.name_track(Track::SERVER_BASE + srv, &format!("server {srv}"));
-                let lane = s.0 * 10_000 + t as u32;
-                obs.span(
-                    "task",
-                    Track::server(srv, lane),
-                    o.launch,
-                    o.end,
-                    vec![
-                        ("stage", s.0.into()),
-                        ("task", (t as u32).into()),
-                        ("attempts", o.attempts.into()),
-                        ("read_start", o.read_start.into()),
-                        ("compute_start", o.compute_start.into()),
-                        ("write_start", o.write_start.into()),
-                        ("memory_gb", mem.into()),
-                        ("bytes_read", task_read_bytes.into()),
-                        ("bytes_written", task_write_bytes.into()),
-                    ],
-                );
-                obs.observe("task.duration", "all", o.end - o.launch);
-                for r in &o.records {
-                    let (name, fault) = match r.outcome {
-                        AttemptOutcome::Crashed => ("fault.crashed", true),
-                        AttemptOutcome::ServerLost => ("fault.server_lost", true),
-                        AttemptOutcome::Superseded => ("fault.superseded", true),
-                        AttemptOutcome::Completed => ("", false),
-                    };
-                    obs.span(
-                        "attempt",
-                        Track::server(r.server.index() as u32, lane),
-                        r.start,
-                        r.end,
-                        vec![
-                            ("stage", r.stage.into()),
-                            ("task", r.task.into()),
-                            ("attempt", r.attempt.into()),
-                            ("outcome", outcome_label(r.outcome).into()),
-                            ("wasted_gb_s", r.wasted_gb_s.into()),
-                        ],
-                    );
-                    if fault {
-                        obs.event(
-                            name,
-                            Track::server(r.server.index() as u32, lane),
-                            r.end,
-                            vec![
-                                ("stage", r.stage.into()),
-                                ("task", r.task.into()),
-                                ("attempt", r.attempt.into()),
-                            ],
-                        );
-                    }
-                }
-                // Happens-before edges for the race checker: the surviving
-                // output's commit instant, one read event per in-edge, and
-                // slot-occupancy intervals per attempt.
-                obs.event(
-                    "hb.write",
-                    Track::server(srv, lane),
-                    o.end,
-                    vec![
-                        ("stage", s.0.into()),
-                        ("task", (t as u32).into()),
-                        ("server", srv.into()),
-                        ("write_start", o.write_start.into()),
-                    ],
-                );
-                for e in dag.in_edges(s) {
-                    let medium = state.edge_medium[e.id.index()]
-                        .unwrap_or_else(|| gt.edge_medium(schedule, e.id.index()));
-                    obs.event(
-                        "hb.read",
-                        Track::server(srv, lane),
-                        o.read_start,
-                        vec![
-                            ("stage", s.0.into()),
-                            ("task", (t as u32).into()),
-                            ("server", srv.into()),
-                            ("edge", (e.id.index() as u64).into()),
-                            ("src_stage", e.src.0.into()),
-                            ("pipelined", (e.pipelined as u64).into()),
-                            ("medium", medium_label(medium).into()),
-                            ("compute_start", o.compute_start.into()),
-                        ],
-                    );
-                }
-                if o.records.is_empty() {
-                    slot_pair(obs, srv, lane, s.0, t as u32, o.launch, o.end, false);
-                } else {
-                    for r in &o.records {
-                        slot_pair(
-                            obs,
-                            r.server.index() as u32,
-                            lane,
-                            r.stage,
-                            r.task,
-                            r.start,
-                            r.end,
-                            r.speculative,
-                        );
-                    }
-                }
-            }
             state.trace.tasks.push(TaskTrace {
                 stage: s.0,
                 task: t as u32,
@@ -1389,51 +1255,9 @@ pub(crate) fn sim_stage(
         }
         state.stage_end[s.index()] = end;
         if obs.is_enabled() {
-            // Most-external in-edge medium: where this stage's reads
-            // actually came from (diff buckets carry it as the medium).
-            let read_medium = dag
-                .in_edges(s)
-                .map(|e| {
-                    state.edge_medium[e.id.index()]
-                        .unwrap_or_else(|| gt.edge_medium(schedule, e.id.index()))
-                })
-                .max_by_key(|m| match m {
-                    Medium::SharedMemory => 0,
-                    Medium::Redis => 1,
-                    Medium::S3 => 2,
-                })
-                .map_or("none", medium_label);
-            obs.span(
-                "stage",
-                Track::job(s.0),
-                state.stage_launch[s.index()],
-                end,
-                vec![
-                    ("stage", s.0.into()),
-                    ("dop", (d as u64).into()),
-                    ("read_medium", read_medium.into()),
-                ],
-            );
-            // Predicted-vs-observed per-task mean step durations: the
-            // scorecard's Fig.-11 sample for this stage.
-            let pred = state.stage_clean[s.index()];
-            let realized = state.stage_observed[s.index()];
-            obs.event(
-                "predictor.sample",
-                Track::job(s.0),
-                end,
-                vec![
-                    ("stage", s.0.into()),
-                    ("pred_setup", pred.setup.into()),
-                    ("pred_read", pred.read.into()),
-                    ("pred_compute", pred.compute.into()),
-                    ("pred_write", pred.write.into()),
-                    ("obs_setup", realized.setup.into()),
-                    ("obs_read", realized.read.into()),
-                    ("obs_compute", realized.compute.into()),
-                    ("obs_write", realized.write.into()),
-                ],
-            );
+            let (tasks, attempts) =
+                (&state.trace.tasks[first_row..], &state.trace.attempts[first_attempt..]);
+            emit_stage(obs, dag, state, s, tasks, attempts, gt.config().external);
         }
         state.stage_write_start[s.index()] = if wstart.is_finite() { wstart } else { end };
         state.stage_read_end[s.index()] = rend;
@@ -1493,6 +1317,167 @@ pub(crate) fn finish_pass(
     }
 }
 
+/// Emit one stage's telemetry from its trace rows (`tasks`) and attempt
+/// history (`attempts`): per task its span, attempt spans and fault
+/// events, and the race checker's happens-before events — the surviving
+/// output's commit, one read per in-edge, slot occupancy per attempt —
+/// then the stage span and its predictor-vs-observed sample. The gates,
+/// media and step means come from `state`. The live engine and journal
+/// recovery both emit through here, so a recovered run's trace has the
+/// same shape and passes the same race certification as a live one.
+pub(crate) fn emit_stage(
+    obs: &Recorder,
+    dag: &JobDag,
+    state: &SimState,
+    s: StageId,
+    tasks: &[TaskTrace],
+    attempts: &[AttemptRecord],
+    external: Medium,
+) {
+    let lost = lost_shm_inputs(state, dag, s);
+    // Per-task shuffle volume estimates for telemetry consumers.
+    let d_f = (tasks.len().max(1)) as f64;
+    let task_read_bytes: f64 = dag.in_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
+    let task_write_bytes: f64 = dag.out_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
+    for tt in tasks {
+        let records: Vec<&AttemptRecord> = attempts.iter().filter(|a| a.task == tt.task).collect();
+        let srv = tt.server.index() as u32;
+        obs.name_track(Track::SERVER_BASE + srv, &format!("server {srv}"));
+        let lane = tt.stage * 10_000 + tt.task;
+        obs.span(
+            "task",
+            Track::server(srv, lane),
+            tt.launch,
+            tt.end,
+            vec![
+                ("stage", tt.stage.into()),
+                ("task", tt.task.into()),
+                ("attempts", (records.len().max(1) as u32).into()),
+                ("read_start", tt.read_start.into()),
+                ("compute_start", tt.compute_start.into()),
+                ("write_start", tt.write_start.into()),
+                ("memory_gb", tt.memory_gb.into()),
+                ("bytes_read", task_read_bytes.into()),
+                ("bytes_written", task_write_bytes.into()),
+            ],
+        );
+        obs.observe("task.duration", "all", tt.end - tt.launch);
+        for r in &records {
+            obs.span(
+                "attempt",
+                Track::server(r.server.index() as u32, lane),
+                r.start,
+                r.end,
+                vec![
+                    ("stage", r.stage.into()),
+                    ("task", r.task.into()),
+                    ("attempt", r.attempt.into()),
+                    ("outcome", outcome_label(r.outcome).into()),
+                    ("wasted_gb_s", r.wasted_gb_s.into()),
+                ],
+            );
+            let name = match r.outcome {
+                AttemptOutcome::Crashed => "fault.crashed",
+                AttemptOutcome::ServerLost => "fault.server_lost",
+                AttemptOutcome::Superseded => "fault.superseded",
+                AttemptOutcome::Completed => continue,
+            };
+            obs.event(
+                name,
+                Track::server(r.server.index() as u32, lane),
+                r.end,
+                vec![
+                    ("stage", r.stage.into()),
+                    ("task", r.task.into()),
+                    ("attempt", r.attempt.into()),
+                ],
+            );
+        }
+        obs.event(
+            "hb.write",
+            Track::server(srv, lane),
+            tt.end,
+            vec![
+                ("stage", tt.stage.into()),
+                ("task", tt.task.into()),
+                ("server", srv.into()),
+                ("write_start", tt.write_start.into()),
+            ],
+        );
+        let spilled = reads_lost(state, &lost, tt.server, tt.read_start);
+        for e in dag.in_edges(s) {
+            let mut medium = state.edge_medium[e.id.index()];
+            if spilled && lost.iter().any(|l| l.0 == e.id.index()) {
+                medium = Some(external);
+            }
+            obs.event(
+                "hb.read",
+                Track::server(srv, lane),
+                tt.read_start,
+                vec![
+                    ("stage", tt.stage.into()),
+                    ("task", tt.task.into()),
+                    ("server", srv.into()),
+                    ("edge", (e.id.index() as u64).into()),
+                    ("src_stage", e.src.0.into()),
+                    ("pipelined", (e.pipelined as u64).into()),
+                    ("medium", medium.map_or("none", medium_label).into()),
+                    ("compute_start", tt.compute_start.into()),
+                ],
+            );
+        }
+        if records.is_empty() {
+            slot_pair(obs, srv, lane, tt.stage, tt.task, tt.launch, tt.end, false);
+        }
+        for r in &records {
+            let srv = r.server.index() as u32;
+            slot_pair(obs, srv, lane, r.stage, r.task, r.start, r.end, r.speculative);
+        }
+    }
+    let i = s.index();
+    // Most-external in-edge medium: where this stage's reads actually
+    // came from (diff buckets carry it as the medium).
+    let read_medium = dag
+        .in_edges(s)
+        .filter_map(|e| state.edge_medium[e.id.index()])
+        .max_by_key(|m| match m {
+            Medium::SharedMemory => 0,
+            Medium::Redis => 1,
+            Medium::S3 => 2,
+        })
+        .map_or("none", medium_label);
+    obs.span(
+        "stage",
+        Track::job(s.0),
+        state.stage_launch[i],
+        state.stage_end[i],
+        vec![
+            ("stage", s.0.into()),
+            ("dop", (tasks.len() as u64).into()),
+            ("read_medium", read_medium.into()),
+        ],
+    );
+    // Predicted-vs-observed per-task mean step durations: the
+    // scorecard's Fig.-11 sample for this stage.
+    let (pred, realized) = (state.stage_clean[i], state.stage_observed[i]);
+    obs.event(
+        "predictor.sample",
+        Track::job(s.0),
+        state.stage_end[i],
+        vec![
+            ("stage", s.0.into()),
+            ("pred_setup", pred.setup.into()),
+            ("pred_read", pred.read.into()),
+            ("pred_compute", pred.compute.into()),
+            ("pred_write", pred.write.into()),
+            ("obs_setup", realized.setup.into()),
+            ("obs_read", realized.read.into()),
+            ("obs_compute", realized.compute.into()),
+            ("obs_write", realized.write.into()),
+        ],
+    );
+}
+
 /// Emit a matched `hb.slot_acquire`/`hb.slot_release` pair for one slot
 /// occupancy interval. `spec` marks speculative copies, which run without
 /// reserving a slot (graded as a warning by the race checker, not an
@@ -1540,6 +1525,175 @@ pub(crate) fn medium_label(medium: Medium) -> &'static str {
     }
 }
 
+/// Lineage recovery of `src`'s faulted stored objects for reader stage
+/// `s` reading at `ready`: the first reader of a lost or corrupt object
+/// detects it and pays the re-execution of its producer task; later
+/// readers wait for the heal already in flight. Returns the wait.
+#[allow(clippy::too_many_arguments)]
+fn heal_faulted_objects(
+    state: &mut SimState,
+    dag: &JobDag,
+    gt: &GroundTruth,
+    plan: &FaultPlan,
+    obs: &Recorder,
+    s: StageId,
+    src: StageId,
+    ready: f64,
+) -> f64 {
+    let mut recovery = 0.0_f64;
+    let producers = state.task_clean_time[src.index()].len();
+    for tp in 0..producers as u32 {
+        let Some(kind) = plan.object_fault(src, tp) else {
+            continue;
+        };
+        if let Some(&healed_at) = state.heal_end.get(&(src.0, tp)) {
+            // Healing already in flight (or done): wait for the
+            // regenerated object, pay nothing.
+            if ready < healed_at {
+                recovery = recovery.max(healed_at - ready);
+            }
+            continue;
+        }
+        let reexec = state.task_clean_time[src.index()][tp as usize];
+        state.heal_end.insert((src.0, tp), ready + reexec);
+        let d_src = producers as u32;
+        let wasted = gt.task_memory_gb(dag, src, d_src) * reexec;
+        // Charges go to the *producer* stage's bucket: the healed
+        // task belongs to `src`, and producer-keyed attribution
+        // keeps the totals independent of which reader got there
+        // first.
+        let bucket = &mut state.stage_stats[src.index()];
+        match kind {
+            ObjectFaultKind::Loss => bucket.object_losses += 1,
+            ObjectFaultKind::Corruption => bucket.object_corruptions += 1,
+        }
+        bucket.lineage_reexecs += 1;
+        bucket.extra_attempts += 1;
+        bucket.wasted_gb_s += wasted;
+        bucket.recovery_delay_s += reexec;
+        recovery = recovery.max(reexec);
+        state.lineage_log.push(crate::journal::LineageHit {
+            reader_stage: s.0,
+            src_stage: src.0,
+            src_task: tp,
+            corrupt: kind == ObjectFaultKind::Corruption,
+            detect_at: ready,
+            reexec_s: reexec,
+        });
+        if obs.is_enabled() {
+            let name = match kind {
+                ObjectFaultKind::Loss => "fault.object_lost",
+                ObjectFaultKind::Corruption => "fault.object_corrupt",
+            };
+            obs.event(
+                name,
+                Track::storage(),
+                ready,
+                vec![
+                    ("stage", src.0.into()),
+                    ("task", tp.into()),
+                    ("reader_stage", s.0.into()),
+                ],
+            );
+            obs.event(
+                "recovery.lineage_reexec",
+                Track::storage(),
+                ready + reexec,
+                vec![
+                    ("stage", src.0.into()),
+                    ("task", tp.into()),
+                    ("reexec_s", reexec.into()),
+                ],
+            );
+        }
+    }
+    recovery
+}
+
+/// Shared memory dies with its server: `(edge, producer stage, producer
+/// task)` of every co-located input of stage `s` whose output sits on the
+/// failed server, if one fails. Reads `state.edge_medium`, so call it once
+/// the stage's in-edge media are set.
+pub(crate) fn lost_shm_inputs(state: &SimState, dag: &JobDag, s: StageId) -> Vec<(usize, StageId, u32)> {
+    let Some((failed, _)) = state.failure else {
+        return Vec::new();
+    };
+    let mut lost = Vec::new();
+    for e in dag.in_edges(s) {
+        if state.edge_medium[e.id.index()] != Some(Medium::SharedMemory) {
+            continue;
+        }
+        for row in &state.trace.tasks {
+            if row.stage == e.src.0 && row.server == failed {
+                lost.push((e.id.index(), e.src, row.task));
+            }
+        }
+    }
+    lost
+}
+
+/// Whether a task on `server` whose read starts at `read_start` consumes
+/// `lost` inputs: on a survivor, after the failure. Such reads go through
+/// the external store once lineage re-execution has republished them.
+pub(crate) fn reads_lost(
+    state: &SimState,
+    lost: &[(usize, StageId, u32)],
+    server: ServerId,
+    read_start: f64,
+) -> bool {
+    match state.failure {
+        Some((failed, at)) => !lost.is_empty() && server != failed && read_start >= at,
+        None => false,
+    }
+}
+
+/// The earliest a read starting at `read_start` can consume the `lost`
+/// inputs: the first such reader pays the lineage re-execution of each
+/// lost producer task (charged to the producer's bucket, as object loss)
+/// and later readers wait for the heal in flight. The read then goes
+/// through the external store, so it also meets the producers' faulted
+/// stored objects like any external read.
+#[allow(clippy::too_many_arguments)]
+fn heal_lost_shm(
+    state: &mut SimState,
+    dag: &JobDag,
+    gt: &GroundTruth,
+    plan: &FaultPlan,
+    obs: &Recorder,
+    s: StageId,
+    lost: &[(usize, StageId, u32)],
+    read_start: f64,
+) -> f64 {
+    let mut gate = read_start;
+    for &(_, src, tp) in lost {
+        let healed = match state.heal_end.get(&(src.0, tp)) {
+            Some(&at) => at,
+            None => {
+                let clean = &state.task_clean_time[src.index()];
+                let reexec = clean[tp as usize];
+                let wasted = gt.task_memory_gb(dag, src, clean.len() as u32) * reexec;
+                let bucket = &mut state.stage_stats[src.index()];
+                bucket.object_losses += 1;
+                bucket.lineage_reexecs += 1;
+                bucket.extra_attempts += 1;
+                bucket.wasted_gb_s += wasted;
+                bucket.recovery_delay_s += reexec;
+                state.heal_end.insert((src.0, tp), read_start + reexec);
+                read_start + reexec
+            }
+        };
+        gate = gate.max(healed);
+    }
+    let mut srcs: Vec<u32> = lost.iter().map(|l| l.1 .0).collect();
+    srcs.sort_unstable();
+    srcs.dedup();
+    for src in srcs {
+        let wait = heal_faulted_objects(state, dag, gt, plan, obs, s, StageId(src), read_start);
+        gate = gate.max(read_start + wait);
+    }
+    gate
+}
+
 /// Deterministic restart target after a server failure: the lowest
 /// server id used anywhere in the schedule that is not the failed one
 /// (the failed server itself when it is the only one — it "rebooted").
@@ -1560,7 +1714,7 @@ fn pick_survivor(schedule: &Schedule, failed: ServerId) -> ServerId {
 mod tests {
     use super::*;
     use crate::groundtruth::ExecConfig;
-    use crate::sim::simulate;
+    use crate::sim::{run, simulate, Replan, RunSpec};
     use ditto_core::baselines::EvenSplitScheduler;
     use ditto_core::{DittoScheduler, Scheduler, SchedulingContext};
     use ditto_timemodel::model::RateConfig;
@@ -1578,11 +1732,28 @@ mod tests {
         (dag, model, rm, schedule, GroundTruth::new(ExecConfig::default()))
     }
 
+    fn faulted(
+        dag: &JobDag,
+        schedule: &Schedule,
+        gt: &GroundTruth,
+        plan: &FaultPlan,
+        policy: &RecoveryPolicy,
+        resched: Option<&ReschedulingContext<'_>>,
+    ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: policy.clone(),
+            replan: resched.map_or(Replan::Off, |c| Replan::OnServerFailure(c.clone())),
+            ..RunSpec::default()
+        };
+        run(dag, schedule, gt, spec)
+    }
+
     #[test]
     fn empty_plan_matches_plain_simulate() {
         let (dag, _, _, schedule, gt) = fixture(&[96; 8]);
         let (plain_trace, plain_m) = simulate(&dag, &schedule, &gt);
-        let (t, m) = try_simulate_with_faults(
+        let (t, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1606,7 +1777,7 @@ mod tests {
             attempt: 0,
             at_fraction: 0.5,
         }]);
-        let (t, m) = try_simulate_with_faults(
+        let (t, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1640,7 +1811,7 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::retry_only()
         };
-        let err = try_simulate_with_faults(
+        let err = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1667,7 +1838,7 @@ mod tests {
             task: 0,
             slowdown: 20.0,
         }]);
-        let (_, without) = try_simulate_with_faults(
+        let (_, without) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1676,7 +1847,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let (t, with) = try_simulate_with_faults(
+        let (t, with) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1711,7 +1882,7 @@ mod tests {
             objective: Objective::Jct,
             options: JointOptions::default(),
         };
-        let (trace, m) = try_simulate_with_faults(
+        let (trace, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1741,7 +1912,7 @@ mod tests {
         let (dag, _, _, schedule, gt) = fixture(&[48; 4]);
         let (_, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().and_server_failure(ServerId(0), base.jct * 0.3);
-        let (trace, m) = try_simulate_with_faults(
+        let (trace, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1758,6 +1929,39 @@ mod tests {
     }
 
     #[test]
+    fn shared_memory_lost_with_its_server_is_rebuilt_by_lineage() {
+        // Readers relaunched on the survivor cannot map co-located outputs
+        // that died with the failed server: they pay lineage re-execution
+        // and read the regenerated outputs externally, race-free.
+        let dag = ditto_dag::generators::random_dag(
+            3,
+            &ditto_dag::generators::RandomDagConfig::sized(8),
+        );
+        let model = JobTimeModel::from_rates(&dag, &RateConfig::default());
+        let rm = ResourceManager::from_free_slots(vec![12, 10]);
+        let schedule = DittoScheduler::new().schedule(&SchedulingContext {
+            dag: &dag,
+            model: &model,
+            resources: &rm,
+            objective: Objective::Jct,
+        });
+        let gt = GroundTruth::new(ExecConfig::default());
+        let (_, base) = simulate(&dag, &schedule, &gt);
+        let obs = Recorder::new();
+        let spec = RunSpec {
+            faults: FaultPlan::none().and_server_failure(ServerId(0), base.jct * 0.5),
+            recovery: RecoveryPolicy::default(),
+            recorder: Some(&obs),
+            ..RunSpec::default()
+        };
+        let (_, m) = run(&dag, &schedule, &gt, spec).unwrap();
+        assert!(m.faults.lineage_reexecs > 0, "lost shared-memory outputs are re-executed");
+        assert_eq!(m.faults.lineage_reexecs, m.faults.object_losses);
+        let race = ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
+        assert!(race.is_clean(), "{}", race.render());
+    }
+
+    #[test]
     fn random_rates_are_deterministic_per_seed() {
         let (dag, _, _, schedule, gt) = fixture(&[96; 8]);
         let run = |seed| {
@@ -1771,7 +1975,7 @@ mod tests {
                 max_retries: 16,
                 ..Default::default()
             };
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy, None).unwrap()
+            faulted(&dag, &schedule, &gt, &plan, &policy, None).unwrap()
         };
         let (ta, ma) = run(9);
         let (tb, mb) = run(9);
@@ -1787,7 +1991,7 @@ mod tests {
         let (base_t, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().with_drift(2.0);
         assert!((plan.drift_factor() - 2.0).abs() < 1e-12);
-        let (t, m) = try_simulate_with_faults(
+        let (t, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1813,7 +2017,7 @@ mod tests {
         let (dag, _, _, schedule, gt) = fixture(&[96; 8]);
         let (_, base) = simulate(&dag, &schedule, &gt);
         let plan = FaultPlan::none().and_object_loss(StageId(0), 0);
-        let (_, m) = try_simulate_with_faults(
+        let (_, m) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1830,7 +2034,7 @@ mod tests {
 
         // Corruption is detected by checksum and healed the same way.
         let plan = FaultPlan::none().and_object_corruption(StageId(0), 1);
-        let (_, mc) = try_simulate_with_faults(
+        let (_, mc) = faulted(
             &dag,
             &schedule,
             &gt,
@@ -1853,7 +2057,7 @@ mod tests {
                 corruption_prob: 0.1,
                 ..FaultRates::none(seed)
             });
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &RecoveryPolicy::retry_only(), None)
+            faulted(&dag, &schedule, &gt, &plan, &RecoveryPolicy::retry_only(), None)
                 .unwrap()
         };
         let (_, a) = run(5);
@@ -1898,7 +2102,7 @@ mod tests {
                     at_fraction: 0.6,
                 })
                 .collect();
-            let (_, m) = try_simulate_with_faults(
+            let (_, m) = faulted(
                 &dag,
                 &schedule,
                 &gt,

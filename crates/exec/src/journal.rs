@@ -36,15 +36,13 @@
 use crate::adaptive::{ReplanRecord, ReplanTrigger};
 use crate::error::ExecError;
 use crate::faults::{
-    finish_pass, medium_label, outcome_label, ready_time, sim_stage, slot_pair, AttemptOutcome,
-    AttemptRecord, FaultPlan, FaultStats, RecoveryPolicy, ReschedulingContext, SimPass, SimState,
+    emit_stage, AttemptOutcome, AttemptRecord, FaultPlan, FaultStats, SimState,
 };
 use crate::groundtruth::GroundTruth;
 use crate::metrics::JobMetrics;
-use crate::queue::{ReadyQueue, TieBreak};
-use crate::trace::{ExecutionTrace, TaskTrace};
+use crate::trace::TaskTrace;
 use ditto_cluster::ServerId;
-use ditto_core::{joint_optimize_traced, Schedule, TaskPlacement};
+use ditto_core::{Schedule, TaskPlacement};
 use ditto_dag::{JobDag, StageId};
 use ditto_obs::{Recorder, StepTimings, TraceData, Track};
 use ditto_storage::{checksum64, CommitLedger, CommitOutcome, Medium};
@@ -150,6 +148,14 @@ impl<'a> Dec<'a> {
     fn finished(&self) -> bool {
         self.pos == self.data.len()
     }
+
+    /// Preallocation for `count` elements of at least `min_size` encoded
+    /// bytes each: never more than the remaining payload can hold, so a
+    /// forged length prefix fails as an underrun instead of an
+    /// allocation the size of the prefix.
+    fn capacity(&self, count: u32, min_size: usize) -> usize {
+        (count as usize).min((self.data.len() - self.pos) / min_size)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -160,9 +166,10 @@ impl<'a> Dec<'a> {
 /// resumes with the same engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The frozen-schedule fault engine ([`try_simulate_with_faults_journaled`]).
+    /// The frozen-schedule fault engine ([`crate::Replan::Off`] or
+    /// [`crate::Replan::OnServerFailure`]).
     Frozen,
-    /// The adaptive engine ([`try_simulate_adaptive_journaled`]).
+    /// The adaptive engine ([`crate::Replan::Adaptive`]).
     Adaptive,
     /// The physical thread-pool runtime (`crate::runner`).
     Runner,
@@ -607,10 +614,10 @@ fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, String> {
     let scheduler = d.string()?;
     let dop = (0..d.u32()?).map(|_| d.u32()).collect::<Result<_, _>>()?;
     let n_groups = d.u32()?;
-    let mut groups = Vec::with_capacity(n_groups as usize);
+    let mut groups = Vec::with_capacity(d.capacity(n_groups, 4));
     for _ in 0..n_groups {
         let len = d.u32()?;
-        let mut g = Vec::with_capacity(len as usize);
+        let mut g = Vec::with_capacity(d.capacity(len, 4));
         for _ in 0..len {
             g.push(StageId(d.u32()?));
         }
@@ -621,13 +628,13 @@ fn dec_schedule(d: &mut Dec<'_>) -> Result<Schedule, String> {
         .collect::<Result<_, _>>()?;
     let colocated = (0..d.u32()?).map(|_| d.boolean()).collect::<Result<_, _>>()?;
     let n_place = d.u32()?;
-    let mut placement = Vec::with_capacity(n_place as usize);
+    let mut placement = Vec::with_capacity(d.capacity(n_place, 5));
     for _ in 0..n_place {
         placement.push(match d.u8()? {
             0 => TaskPlacement::Single(ServerId(d.u32()?)),
             1 => {
                 let len = d.u32()?;
-                let mut parts = Vec::with_capacity(len as usize);
+                let mut parts = Vec::with_capacity(d.capacity(len, 8));
                 for _ in 0..len {
                     parts.push((ServerId(d.u32()?), d.u32()?));
                 }
@@ -770,7 +777,7 @@ fn dec_checkpoint(d: &mut Dec<'_>) -> Result<StageCheckpoint, String> {
         medium_from_code(c)?;
     }
     let n_heal = d.u32()?;
-    let mut heal_end = Vec::with_capacity(n_heal as usize);
+    let mut heal_end = Vec::with_capacity(d.capacity(n_heal, 16));
     for _ in 0..n_heal {
         heal_end.push((d.u32()?, d.u32()?, d.f64()?));
     }
@@ -972,7 +979,7 @@ fn decode_record_inner(d: &mut Dec<'_>) -> Result<JournalRecord, String> {
         }),
         9 => {
             let count = d.u32()?;
-            let mut inner = Vec::with_capacity(count as usize);
+            let mut inner = Vec::with_capacity(d.capacity(count, 5));
             for _ in 0..count {
                 let len = d.u32()? as usize;
                 let raw = d.bytes(len)?;
@@ -1679,6 +1686,7 @@ impl JournalSession {
         s: StageId,
         state: &mut SimState,
         dag: &JobDag,
+        gt: &GroundTruth,
         obs: &Recorder,
     ) -> bool {
         let Some(cp) = self.checkpoints.remove(&s.0) else {
@@ -1700,17 +1708,24 @@ impl JournalSession {
         state.heal_end = cp.heal_end.iter().map(|&(a, b, h)| ((a, b), h)).collect();
         state.stage_stats = cp.buckets.clone();
         state.lineage_log.extend(cp.lineage.iter().copied());
-        self.emit_restored_stage(obs, dag, s, &cp);
+        self.emit_restored_stage(obs, dag, s, &cp, state, gt.config().external);
         state.trace.tasks.extend(cp.tasks.iter().cloned());
         state.trace.attempts.extend(cp.attempts.iter().cloned());
         self.restored_stages += 1;
         true
     }
 
-    /// Re-emit a restored stage's telemetry in the exact shape and order
-    /// `sim_stage` produces, so a recovered run's trace passes the same
-    /// schema and race certification as a live one.
-    fn emit_restored_stage(&self, obs: &Recorder, dag: &JobDag, s: StageId, cp: &StageCheckpoint) {
+    /// Re-emit a restored stage's telemetry: its lineage recoveries, then
+    /// what `sim_stage` emits for it ([`emit_stage`]).
+    fn emit_restored_stage(
+        &self,
+        obs: &Recorder,
+        dag: &JobDag,
+        s: StageId,
+        cp: &StageCheckpoint,
+        state: &SimState,
+        external: Medium,
+    ) {
         if !obs.is_enabled() {
             return;
         }
@@ -1741,155 +1756,7 @@ impl JournalSession {
                 ],
             );
         }
-        let d_f = (cp.tasks.len().max(1)) as f64;
-        let task_read_bytes: f64 = dag.in_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
-        let task_write_bytes: f64 = dag.out_edges(s).map(|e| e.bytes as f64).sum::<f64>() / d_f;
-        for tt in &cp.tasks {
-            let records: Vec<&AttemptRecord> =
-                cp.attempts.iter().filter(|a| a.task == tt.task).collect();
-            let attempts = if records.is_empty() {
-                1
-            } else {
-                records.len() as u32
-            };
-            let srv = tt.server.index() as u32;
-            obs.name_track(Track::SERVER_BASE + srv, &format!("server {srv}"));
-            let lane = tt.stage * 10_000 + tt.task;
-            obs.span(
-                "task",
-                Track::server(srv, lane),
-                tt.launch,
-                tt.end,
-                vec![
-                    ("stage", tt.stage.into()),
-                    ("task", tt.task.into()),
-                    ("attempts", attempts.into()),
-                    ("read_start", tt.read_start.into()),
-                    ("compute_start", tt.compute_start.into()),
-                    ("write_start", tt.write_start.into()),
-                    ("memory_gb", tt.memory_gb.into()),
-                    ("bytes_read", task_read_bytes.into()),
-                    ("bytes_written", task_write_bytes.into()),
-                ],
-            );
-            obs.observe("task.duration", "all", tt.end - tt.launch);
-            for r in &records {
-                let (name, fault) = match r.outcome {
-                    AttemptOutcome::Crashed => ("fault.crashed", true),
-                    AttemptOutcome::ServerLost => ("fault.server_lost", true),
-                    AttemptOutcome::Superseded => ("fault.superseded", true),
-                    AttemptOutcome::Completed => ("", false),
-                };
-                obs.span(
-                    "attempt",
-                    Track::server(r.server.index() as u32, lane),
-                    r.start,
-                    r.end,
-                    vec![
-                        ("stage", r.stage.into()),
-                        ("task", r.task.into()),
-                        ("attempt", r.attempt.into()),
-                        ("outcome", outcome_label(r.outcome).into()),
-                        ("wasted_gb_s", r.wasted_gb_s.into()),
-                    ],
-                );
-                if fault {
-                    obs.event(
-                        name,
-                        Track::server(r.server.index() as u32, lane),
-                        r.end,
-                        vec![
-                            ("stage", r.stage.into()),
-                            ("task", r.task.into()),
-                            ("attempt", r.attempt.into()),
-                        ],
-                    );
-                }
-            }
-            obs.event(
-                "hb.write",
-                Track::server(srv, lane),
-                tt.end,
-                vec![
-                    ("stage", tt.stage.into()),
-                    ("task", tt.task.into()),
-                    ("server", srv.into()),
-                    ("write_start", tt.write_start.into()),
-                ],
-            );
-            for e in dag.in_edges(s) {
-                let medium = medium_from_code(cp.edge_medium[e.id.index()])
-                    .ok()
-                    .flatten();
-                obs.event(
-                    "hb.read",
-                    Track::server(srv, lane),
-                    tt.read_start,
-                    vec![
-                        ("stage", tt.stage.into()),
-                        ("task", tt.task.into()),
-                        ("server", srv.into()),
-                        ("edge", (e.id.index() as u64).into()),
-                        ("src_stage", e.src.0.into()),
-                        ("pipelined", (e.pipelined as u64).into()),
-                        ("medium", medium.map_or("none", medium_label).into()),
-                        ("compute_start", tt.compute_start.into()),
-                    ],
-                );
-            }
-            if records.is_empty() {
-                slot_pair(obs, srv, lane, tt.stage, tt.task, tt.launch, tt.end, false);
-            } else {
-                for r in &records {
-                    slot_pair(
-                        obs,
-                        r.server.index() as u32,
-                        lane,
-                        r.stage,
-                        r.task,
-                        r.start,
-                        r.end,
-                        r.speculative,
-                    );
-                }
-            }
-        }
-        let read_medium = dag
-            .in_edges(s)
-            .filter_map(|e| medium_from_code(cp.edge_medium[e.id.index()]).ok().flatten())
-            .max_by_key(|m| match m {
-                Medium::SharedMemory => 0,
-                Medium::Redis => 1,
-                Medium::S3 => 2,
-            })
-            .map_or("none", medium_label);
-        obs.span(
-            "stage",
-            Track::job(s.0),
-            cp.launch,
-            cp.end,
-            vec![
-                ("stage", s.0.into()),
-                ("dop", (cp.tasks.len() as u64).into()),
-                ("read_medium", read_medium.into()),
-            ],
-        );
-        obs.event(
-            "predictor.sample",
-            Track::job(s.0),
-            cp.end,
-            vec![
-                ("stage", s.0.into()),
-                ("pred_setup", cp.clean.setup.into()),
-                ("pred_read", cp.clean.read.into()),
-                ("pred_compute", cp.clean.compute.into()),
-                ("pred_write", cp.clean.write.into()),
-                ("obs_setup", cp.observed.setup.into()),
-                ("obs_read", cp.observed.read.into()),
-                ("obs_compute", cp.observed.compute.into()),
-                ("obs_write", cp.observed.write.into()),
-            ],
-        );
+        emit_stage(obs, dag, state, s, &cp.tasks, &cp.attempts, external);
     }
 
     /// Journal a just-simulated stage: one exactly-once `ObjectCommit`
@@ -2110,7 +1977,8 @@ impl JournalSession {
 // ---------------------------------------------------------------------
 
 /// What [`recover`] rebuilt from a journal: resume the job by handing
-/// `session` back to the matching journaled engine entry point.
+/// `session` back to [`crate::run`] as its journal, with a
+/// [`crate::Replan`] of the matching engine.
 #[derive(Debug)]
 pub struct ResumedJob {
     /// Engine that wrote the journal (resume with the same one).
@@ -2153,228 +2021,14 @@ pub fn recover(journal: &[u8]) -> Result<ResumedJob, ExecError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Journaled engine entry points
-// ---------------------------------------------------------------------
-
-/// One simulation sweep under a fixed schedule with journaling: each
-/// stage is either restored from its checkpoint or simulated and then
-/// journaled (commits + checkpoint) before the next stage unblocks.
-fn journaled_pass(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    obs: &Recorder,
-    session: &mut JournalSession,
-) -> Result<SimPass, ExecError> {
-    let mut state = SimState::new(dag, plan, schedule);
-    state.announce(obs);
-    let mut tie = TieBreak::canonical();
-    let mut queue = ReadyQueue::new(dag);
-    let mut popped = 0usize;
-    while let Some((_, s)) = queue.pop(&mut tie) {
-        popped += 1;
-        if !session.try_restore(s, &mut state, dag, obs) {
-            sim_stage(&mut state, dag, schedule, gt, plan, policy, obs, s)?;
-            session.record_stage(s, &state, dag)?;
-        }
-        queue.complete(dag, s, |c| ready_time(&state, dag, c));
-    }
-    if popped != dag.num_stages() {
-        return Err(ExecError::CyclicDag);
-    }
-    Ok(finish_pass(state, dag, schedule, gt, obs))
-}
-
-/// [`try_simulate_with_faults_traced`](crate::faults::try_simulate_with_faults_traced)
-/// with a write-ahead journal: admission, schedule commit, per-stage
-/// object commits and checkpoints, and the failover decision all journal
-/// through `session` before taking effect. A session armed with a
-/// coordinator crash fails with [`ExecError::CoordinatorCrash`] at the
-/// armed record, leaving a torn journal tail behind
-/// ([`JournalSession::durable_bytes`]); resume the run by passing
-/// [`JournalSession::resume`]'s session back in with identical inputs.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_with_faults_journaled(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    resched: Option<&ReschedulingContext<'_>>,
-    obs: &Recorder,
-    session: &mut JournalSession,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
-    session.begin(
-        dag.num_stages() as u32,
-        dag.num_edges() as u32,
-        EngineKind::Frozen,
-        schedule,
-        obs,
-    )?;
-    if let Some((seq, failed_idx, at_time_j, suffix, stored)) = session.take_failover() {
-        // Replay: the failover was decided and journaled before the
-        // crash. Verify the plan still injects that exact failure, then
-        // run the journaled hybrid directly — no re-optimization.
-        let Some((failed, at_time)) = plan.first_server_failure() else {
-            return Err(ExecError::Journal(
-                "journaled failover but the fault plan has no server failure".into(),
-            ));
-        };
-        if failed.index() as u32 != failed_idx || at_time.to_bits() != at_time_j.to_bits() {
-            return Err(ExecError::Journal(format!(
-                "journaled failover (server {failed_idx} at {at_time_j}) does not match the fault plan (server {} at {at_time})",
-                failed.index()
-            )));
-        }
-        let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;
-        if obs.is_enabled() {
-            obs.event(
-                "sched.failover",
-                Track::scheduler(0),
-                obs.wall_now(),
-                vec![
-                    ("failed_server", (failed.index() as u64).into()),
-                    ("at_time", at_time.into()),
-                    ("suffix_stages", (n_suffix as u64).into()),
-                    ("decision_seq", seq.into()),
-                ],
-            );
-        }
-        let mut pass = journaled_pass(dag, &stored, gt, plan, policy, obs, session)?;
-        pass.metrics.faults.rescheduled_stages = n_suffix;
-        session.finish(&pass.metrics)?;
-        return Ok((pass.trace, pass.metrics));
-    }
-    match (
-        plan.first_server_failure(),
-        resched,
-        policy.reschedule_on_server_failure,
-    ) {
-        (Some((failed, at_time)), Some(ctx), true) => {
-            // Live failover path: a muted, *unjournaled* probe pass finds
-            // the not-yet-launched suffix (it is discarded; journaling it
-            // would commit state the final timeline never reaches).
-            let muted = Recorder::disabled();
-            let pass1 = crate::faults::sim_pass_with(
-                dag,
-                schedule,
-                gt,
-                plan,
-                policy,
-                &muted,
-                &mut TieBreak::canonical(),
-            )?;
-            let suffix: Vec<bool> = pass1.stage_launch.iter().map(|&l| l >= at_time).collect();
-            let n_suffix = suffix.iter().filter(|&&b| b).count() as u32;
-            if n_suffix == 0 {
-                let pass = journaled_pass(dag, schedule, gt, plan, policy, obs, session)?;
-                session.finish(&pass.metrics)?;
-                return Ok((pass.trace, pass.metrics));
-            }
-            let mut rm = ctx.resources.clone();
-            rm.fail_server(failed.index());
-            let needed = dag.num_stages() as u32;
-            if rm.total_free() < needed {
-                return Err(ExecError::InsufficientCapacity {
-                    needed,
-                    available: rm.total_free(),
-                });
-            }
-            let replanned =
-                joint_optimize_traced(dag, ctx.model, &rm, ctx.objective, &ctx.options, obs);
-            let hybrid = schedule.splice(dag, &replanned, &suffix);
-            #[cfg(debug_assertions)]
-            {
-                let report = ditto_audit::audit_splice(dag, &rm, &hybrid, &suffix);
-                if !report.is_clean() {
-                    return Err(ExecError::InvalidSchedule(report.render()));
-                }
-            }
-            // Write-ahead: the decision journals before its event fires.
-            session.append_failover(
-                1,
-                failed.index() as u32,
-                at_time,
-                suffix.clone(),
-                hybrid.clone(),
-            )?;
-            if obs.is_enabled() {
-                obs.event(
-                    "sched.failover",
-                    Track::scheduler(0),
-                    obs.wall_now(),
-                    vec![
-                        ("failed_server", (failed.index() as u64).into()),
-                        ("at_time", at_time.into()),
-                        ("suffix_stages", (n_suffix as u64).into()),
-                        ("decision_seq", 1u64.into()),
-                    ],
-                );
-            }
-            let mut pass2 = journaled_pass(dag, &hybrid, gt, plan, policy, obs, session)?;
-            pass2.metrics.faults.rescheduled_stages = n_suffix;
-            session.finish(&pass2.metrics)?;
-            Ok((pass2.trace, pass2.metrics))
-        }
-        _ => {
-            let pass = journaled_pass(dag, schedule, gt, plan, policy, obs, session)?;
-            session.finish(&pass.metrics)?;
-            Ok((pass.trace, pass.metrics))
-        }
-    }
-}
-
-/// [`try_simulate_adaptive_traced`](crate::adaptive::try_simulate_adaptive_traced)
-/// with a write-ahead journal: stage checkpoints and object commits
-/// journal as in the frozen engine, and every gate-passing replan
-/// decision journals (record + suffix + spliced schedule) before its
-/// event fires. On resume, completed stages restore from checkpoints,
-/// the drift gates re-run deterministically over the restored state, and
-/// journaled decisions substitute for the optimizer calls they gate —
-/// recovery never re-optimizes, which is what bounds its overhead.
-#[allow(clippy::too_many_arguments)]
-pub fn try_simulate_adaptive_journaled(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    ctx: &ReschedulingContext<'_>,
-    cfg: &crate::adaptive::AdaptiveConfig,
-    obs: &Recorder,
-    session: &mut JournalSession,
-) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    session.begin(
-        dag.num_stages() as u32,
-        dag.num_edges() as u32,
-        EngineKind::Adaptive,
-        schedule,
-        obs,
-    )?;
-    let out = crate::adaptive::try_simulate_adaptive_tie(
-        dag,
-        schedule,
-        gt,
-        plan,
-        policy,
-        ctx,
-        cfg,
-        obs,
-        &mut TieBreak::canonical(),
-        Some(session),
-    )?;
-    session.finish(&out.1)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
+    use crate::faults::{RecoveryPolicy, ReschedulingContext};
     use crate::groundtruth::ExecConfig;
+    use crate::sim::{run, Replan, RunSpec};
+    use crate::trace::ExecutionTrace;
     use ditto_cluster::ResourceManager;
     use ditto_core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
     use ditto_timemodel::model::RateConfig;
@@ -2686,6 +2340,63 @@ mod tests {
         ));
     }
 
+    // -- forged length prefixes ----------------------------------------
+
+    /// Payloads whose element counts claim far more elements than the
+    /// bytes that follow can hold.
+    fn forged_payloads() -> Vec<(&'static str, Vec<u8>)> {
+        const HUGE: u32 = u32::MAX;
+        // A failover record up to its schedule's group count.
+        let failover = |tail: &[u32]| {
+            let mut p = vec![6];
+            put_u64(&mut p, 1);
+            put_u32(&mut p, 0);
+            put_f64(&mut p, 1.0);
+            enc_bools(&mut p, &[]);
+            put_str(&mut p, "ditto");
+            put_u32(&mut p, 0); // dop
+            for &v in tail {
+                put_u32(&mut p, v);
+            }
+            p
+        };
+        let mut snapshot = vec![9];
+        put_u32(&mut snapshot, HUGE);
+        let mut checkpoint = vec![4];
+        put_u32(&mut checkpoint, 0); // stage
+        for _ in 0..12 {
+            put_f64(&mut checkpoint, 0.0); // four gates, two timing sets
+        }
+        put_u32(&mut checkpoint, 0); // task_clean
+        put_u32(&mut checkpoint, 0); // edge media
+        put_u32(&mut checkpoint, HUGE); // heal_end
+        let mut spread = failover(&[0, 0, 0, 1]); // groups, group_of, colocated, placements
+        put_u8(&mut spread, 1);
+        put_u32(&mut spread, HUGE);
+        vec![
+            ("snapshot", snapshot),
+            ("schedule groups", failover(&[HUGE])),
+            ("group members", failover(&[1, HUGE])),
+            ("placements", failover(&[0, 0, 0, HUGE])),
+            ("spread parts", spread),
+            ("checkpoint heal_end", checkpoint),
+        ]
+    }
+
+    #[test]
+    fn forged_length_prefixes_fail_typed() {
+        for (what, payload) in forged_payloads() {
+            let err = decode_record(&payload).expect_err(what);
+            assert!(err.contains("underrun"), "{what}: {err}");
+            let mut journal = journal_with(&[]);
+            frame_into(&mut journal, &payload);
+            assert!(
+                matches!(decode_journal(&journal), Err(ExecError::Journal(_))),
+                "{what}: a CRC-valid forged frame must be a typed error"
+            );
+        }
+    }
+
     // -- validate: duplicated frame -----------------------------------
 
     #[test]
@@ -2713,16 +2424,14 @@ mod tests {
         resched: Option<&ReschedulingContext<'_>>,
         session: &mut JournalSession,
     ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-        try_simulate_with_faults_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &RecoveryPolicy::default(),
-            resched,
-            &Recorder::disabled(),
-            session,
-        )
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: RecoveryPolicy::default(),
+            replan: resched.map_or(Replan::Off, |c| Replan::OnServerFailure(c.clone())),
+            journal: Some(session),
+            ..RunSpec::default()
+        };
+        run(dag, schedule, gt, spec)
     }
 
     #[test]
@@ -2935,17 +2644,14 @@ mod tests {
         ctx: &ReschedulingContext<'_>,
         session: &mut JournalSession,
     ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-        try_simulate_adaptive_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &RecoveryPolicy::default(),
-            ctx,
-            &crate::adaptive::AdaptiveConfig::default(),
-            &Recorder::disabled(),
-            session,
-        )
+        let spec = RunSpec {
+            faults: plan.clone(),
+            recovery: RecoveryPolicy::default(),
+            replan: Replan::Adaptive(ctx.clone(), AdaptiveConfig::default()),
+            journal: Some(session),
+            ..RunSpec::default()
+        };
+        run(dag, schedule, gt, spec)
     }
 
     #[test]
@@ -3010,18 +2716,14 @@ mod tests {
         let ctx = ctx(&model, &rm);
         let obs = Recorder::new();
         let mut session = JournalSession::fresh(None);
-        try_simulate_adaptive_journaled(
-            &dag,
-            &schedule,
-            &gt,
-            &plan,
-            &RecoveryPolicy::default(),
-            &ctx,
-            &crate::adaptive::AdaptiveConfig::default(),
-            &obs,
-            &mut session,
-        )
-        .unwrap();
+        let spec = RunSpec {
+            faults: plan,
+            recovery: RecoveryPolicy::default(),
+            replan: Replan::Adaptive(ctx, AdaptiveConfig::default()),
+            recorder: Some(&obs),
+            journal: Some(&mut session),
+        };
+        run(&dag, &schedule, &gt, spec).unwrap();
         let trace = obs.finish();
         let records = decode_journal(session.durable_bytes()).unwrap().records;
         let findings = cross_check(&records, &trace);

@@ -12,7 +12,10 @@
 //!   `α/d + β` model the way reality differs from a regression: that gap
 //!   is what the paper's Fig. 11 measures. The simulator yields the JCT,
 //!   cost and per-task timeline ([`trace`]) behind every evaluation
-//!   figure.
+//!   figure. [`run`] is its one entry point: a [`RunSpec`] adds faults
+//!   and recovery, replanning ([`Replan`]: failover or adaptive), a
+//!   telemetry recorder and a write-ahead journal ([`journal`]), each
+//!   optional; [`simulate`] and [`try_simulate`] are the plain run.
 //! * **Local runtime** ([`runner`]): a real multi-threaded executor that
 //!   physically runs a `ditto-sql` query plan under a schedule — tasks on
 //!   worker threads, intermediate tables encoded through the
@@ -45,25 +48,21 @@ pub mod runner;
 pub mod sim;
 pub mod trace;
 
-pub use adaptive::{
-    try_simulate_adaptive, try_simulate_adaptive_traced, AdaptiveConfig, ReplanRecord,
-    ReplanTrigger,
-};
+pub use adaptive::{AdaptiveConfig, ReplanRecord, ReplanTrigger};
 pub use error::ExecError;
 pub use explore::{explore_random_dags, explore_schedule, Divergence, ExploreConfig, ExploreOutcome};
 pub use faults::{
-    try_simulate_with_faults, try_simulate_with_faults_traced, AttemptOutcome, AttemptRecord,
-    FaultEvent, FaultPlan, FaultRates, FaultStats, RecoveryPolicy, ReschedulingContext,
+    AttemptOutcome, AttemptRecord, FaultEvent, FaultPlan, FaultRates, FaultStats, RecoveryPolicy,
+    ReschedulingContext,
 };
 pub use groundtruth::{ExecConfig, GroundTruth};
 pub use journal::{
-    compact_journal, cross_check, decode_journal, recover, schedule_fingerprint,
-    try_simulate_adaptive_journaled, try_simulate_with_faults_journaled, validate_journal,
+    compact_journal, cross_check, decode_journal, recover, schedule_fingerprint, validate_journal,
     DecodedJournal, EngineKind, JournalRecord, JournalSession, JournalWriter, LineageHit,
     ResumedJob, StageCheckpoint, TornReason, TornTail,
 };
 pub use metrics::JobMetrics;
 pub use profile::profile_job;
 pub use runner::LocalRuntime;
-pub use sim::{simulate, simulate_traced, try_simulate};
+pub use sim::{run, simulate, try_simulate, Replan, RunSpec};
 pub use trace::{ExecutionTrace, StageBreakdown, TaskTrace};

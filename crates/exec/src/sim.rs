@@ -9,18 +9,160 @@
 //! upstream tail and idle waiting is avoided — which is exactly what makes
 //! late launching cost-neutral.
 
+use crate::adaptive::{simulate_adaptive, AdaptiveConfig};
 use crate::error::ExecError;
-use crate::faults::{FaultPlan, RecoveryPolicy};
-#[cfg(not(debug_assertions))]
-use crate::faults::try_simulate_with_faults;
+use crate::faults::{simulate_frozen, FaultPlan, RecoveryPolicy, ReschedulingContext};
 use crate::groundtruth::GroundTruth;
+use crate::journal::{EngineKind, JournalSession};
 use crate::metrics::JobMetrics;
+use crate::queue::TieBreak;
 use crate::trace::ExecutionTrace;
 use ditto_core::Schedule;
 use ditto_dag::JobDag;
+use ditto_obs::Recorder;
 
-/// Simulate `schedule` on `dag` under the ground truth. Returns the full
-/// trace plus job metrics.
+/// What a run replans, and against which model and resources.
+#[derive(Debug, Clone, Default)]
+pub enum Replan<'a> {
+    /// Play the schedule as committed (server failures still kill and
+    /// re-execute attempts; nothing is re-optimized).
+    #[default]
+    Off,
+    /// On a whole-server failure, re-optimize the not-yet-launched suffix
+    /// against the shrunk snapshot (when
+    /// [`RecoveryPolicy::reschedule_on_server_failure`] is set).
+    OnServerFailure(ReschedulingContext<'a>),
+    /// Online drift detection and elastic suffix re-optimization
+    /// ([`crate::adaptive`]); server failures are handled by the same
+    /// loop.
+    Adaptive(ReschedulingContext<'a>, AdaptiveConfig),
+}
+
+impl Replan<'_> {
+    /// The engine this mode runs on, as a journal records it.
+    fn engine(&self) -> EngineKind {
+        match self {
+            Replan::Adaptive(..) => EngineKind::Adaptive,
+            _ => EngineKind::Frozen,
+        }
+    }
+}
+
+/// Everything [`run`] plays a schedule under besides the job itself.
+/// Each field is optional: [`RunSpec::default`] is a plain, fault-free,
+/// untraced, unjournaled run.
+pub struct RunSpec<'a> {
+    /// Injected faults (default: none).
+    pub faults: FaultPlan,
+    /// How the run reacts to them (default: [`RecoveryPolicy::none`]).
+    pub recovery: RecoveryPolicy,
+    /// Replanning mode (default: [`Replan::Off`]).
+    pub replan: Replan<'a>,
+    /// Telemetry sink: task/stage/attempt spans, fault events, storage
+    /// counters and scheduler decisions land here with sim-clock
+    /// timestamps. Telemetry never changes the result.
+    pub recorder: Option<&'a Recorder>,
+    /// Write-ahead journal: admission, schedule commit, per-stage object
+    /// commits and checkpoints, and every replan or failover decision
+    /// journal through it before taking effect. A session armed with a
+    /// coordinator crash fails with [`ExecError::CoordinatorCrash`] at the
+    /// armed record; resume by passing [`JournalSession::resume`]'s
+    /// session back in with identical inputs.
+    pub journal: Option<&'a mut JournalSession>,
+}
+
+impl Default for RunSpec<'_> {
+    fn default() -> Self {
+        RunSpec {
+            faults: FaultPlan::none(),
+            recovery: RecoveryPolicy::none(),
+            replan: Replan::Off,
+            recorder: None,
+            journal: None,
+        }
+    }
+}
+
+/// Simulate `schedule` on `dag` under the ground truth and `spec`: the
+/// one simulator entry point. Returns the full trace plus job metrics.
+///
+/// The schedule must pass the auditor's structural certificate first, so
+/// an unsound schedule is refused with stage/edge-attributed findings
+/// instead of a mid-run panic. Debug builds record every run the caller
+/// does not trace and gate its event stream through the race checker, so
+/// an ordering hazard a refactor introduces fails loudly in every debug
+/// test run (telemetry never changes the result).
+pub fn run(
+    dag: &JobDag,
+    schedule: &Schedule,
+    gt: &GroundTruth,
+    mut spec: RunSpec<'_>,
+) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    let report = ditto_audit::audit_structure(dag, schedule);
+    if !report.is_clean() {
+        return Err(ExecError::InvalidSchedule(report.render()));
+    }
+    schedule.validate(dag).map_err(ExecError::InvalidSchedule)?;
+    let self_check = cfg!(debug_assertions) && spec.recorder.is_none();
+    let own;
+    let obs = match spec.recorder {
+        Some(obs) => obs,
+        None => {
+            own = if self_check { Recorder::new() } else { Recorder::disabled() };
+            &own
+        }
+    };
+    if let Some(j) = spec.journal.as_deref_mut() {
+        j.begin(
+            dag.num_stages() as u32,
+            dag.num_edges() as u32,
+            spec.replan.engine(),
+            schedule,
+            obs,
+        )?;
+    }
+    let out = run_with_tie(dag, schedule, gt, &mut spec, obs, &mut TieBreak::canonical())?;
+    if let Some(j) = spec.journal {
+        j.finish(&out.1)?;
+    }
+    if self_check {
+        let race = ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
+        debug_assert!(
+            race.is_clean(),
+            "race checker rejected the run's own trace:\n{}",
+            race.render()
+        );
+    }
+    Ok(out)
+}
+
+/// [`run`]'s engine dispatch under an explicit tie-break controller and an
+/// already-resolved recorder (`spec.recorder` is not consulted). Skips
+/// the certificate gate, validation, journal bracket and race self-check:
+/// the model checker (`crate::explore`) validates once and then drives
+/// this with scripted and random controllers.
+pub(crate) fn run_with_tie(
+    dag: &JobDag,
+    schedule: &Schedule,
+    gt: &GroundTruth,
+    spec: &mut RunSpec<'_>,
+    obs: &Recorder,
+    tie: &mut TieBreak,
+) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    let (plan, policy, jr) = (&spec.faults, &spec.recovery, spec.journal.as_deref_mut());
+    match &spec.replan {
+        Replan::Off => simulate_frozen(dag, schedule, gt, plan, policy, None, obs, tie, jr),
+        Replan::OnServerFailure(ctx) => {
+            simulate_frozen(dag, schedule, gt, plan, policy, Some(ctx), obs, tie, jr)
+        }
+        Replan::Adaptive(ctx, cfg) => {
+            simulate_adaptive(dag, schedule, gt, plan, policy, ctx, cfg, obs, tie, jr)
+        }
+    }
+}
+
+/// Simulate `schedule` on `dag` under the ground truth: a plain run.
+/// Returns the full trace plus job metrics.
 ///
 /// ```
 /// use ditto_core::{DittoScheduler, Objective, Scheduler, SchedulingContext};
@@ -44,76 +186,12 @@ pub fn simulate(dag: &JobDag, schedule: &Schedule, gt: &GroundTruth) -> (Executi
 
 /// Fallible variant of [`simulate`]: returns [`ExecError`] instead of
 /// panicking on an invalid schedule or cyclic DAG.
-///
-/// Both are thin wrappers over the fault-aware engine
-/// ([`crate::try_simulate_with_faults`]) with an empty [`FaultPlan`] — the
-/// fault-free path reproduces the historical simulator bit-for-bit.
 pub fn try_simulate(
     dag: &JobDag,
     schedule: &Schedule,
     gt: &GroundTruth,
 ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
-    // Certificate gate: refuse structurally unsound schedules up front with
-    // the auditor's stage/edge-attributed findings instead of a mid-run
-    // panic deep inside the event loop.
-    let report = ditto_audit::audit_structure(dag, schedule);
-    if !report.is_clean() {
-        return Err(ExecError::InvalidSchedule(report.render()));
-    }
-    // Debug builds run traced (telemetry is <5% overhead and metrics are
-    // bit-identical either way — the telemetry tests pin both) and gate
-    // the recorded event stream through the race checker, so any ordering
-    // hazard a refactor introduces fails loudly in every debug test run.
-    #[cfg(debug_assertions)]
-    {
-        let obs = ditto_obs::Recorder::new();
-        let out = crate::faults::try_simulate_with_faults_traced(
-            dag,
-            schedule,
-            gt,
-            &FaultPlan::none(),
-            &RecoveryPolicy::none(),
-            None,
-            &obs,
-        )?;
-        let race = ditto_audit::check_trace(&obs.finish(), &ditto_audit::RaceOptions::default());
-        debug_assert!(
-            race.is_clean(),
-            "race checker rejected try_simulate's own trace:\n{}",
-            race.render()
-        );
-        Ok(out)
-    }
-    #[cfg(not(debug_assertions))]
-    try_simulate_with_faults(
-        dag,
-        schedule,
-        gt,
-        &FaultPlan::none(),
-        &RecoveryPolicy::none(),
-        None,
-    )
-}
-
-/// [`simulate`] with telemetry: every task, stage and storage transfer of
-/// the fault-free run lands on `obs` as spans/counters (sim-clock
-/// timestamps). With a disabled recorder this is exactly [`simulate`].
-pub fn simulate_traced(
-    dag: &JobDag,
-    schedule: &Schedule,
-    gt: &GroundTruth,
-    obs: &ditto_obs::Recorder,
-) -> (ExecutionTrace, JobMetrics) {
-    crate::faults::try_simulate_with_faults_traced(
-        dag,
-        schedule,
-        gt,
-        &FaultPlan::none(),
-        &RecoveryPolicy::none(),
-        None,
-        obs,
-    )
-    .expect("schedule must be valid for its DAG")
+    run(dag, schedule, gt, RunSpec::default())
 }
 
 #[cfg(test)]

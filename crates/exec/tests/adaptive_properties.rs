@@ -12,8 +12,8 @@ use ditto_core::{
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    try_simulate_adaptive, try_simulate_with_faults, AdaptiveConfig, ExecConfig, FaultPlan,
-    FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    run, AdaptiveConfig, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, Replan,
+    ReschedulingContext, RunSpec,
 };
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -36,6 +36,16 @@ fn policy() -> RecoveryPolicy {
     RecoveryPolicy {
         max_retries: 16,
         ..RecoveryPolicy::default()
+    }
+}
+
+/// `plan` under [`policy`], replanning as `replan` says.
+fn spec<'a>(plan: &FaultPlan, replan: Replan<'a>) -> RunSpec<'a> {
+    RunSpec {
+        faults: plan.clone(),
+        recovery: policy(),
+        replan,
+        ..RunSpec::default()
     }
 }
 
@@ -72,9 +82,9 @@ proptest! {
             options: JointOptions::default(),
         };
         let gt = GroundTruth::new(ExecConfig::default());
-        let (trace, metrics) = try_simulate_adaptive(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(),
-        ).expect("bounded fault rates must recover within policy bounds");
+        let replan = Replan::Adaptive(ctx, AdaptiveConfig::default());
+        let (trace, metrics) = run(&dag, &schedule, &gt, spec(&plan, replan))
+            .expect("bounded fault rates must recover within policy bounds");
 
         prop_assert!(metrics.jct.is_finite() && metrics.jct > 0.0);
         for s in dag.stages() {
@@ -110,10 +120,9 @@ proptest! {
         };
         let gt = GroundTruth::new(ExecConfig::default());
         let (frozen_trace, frozen) =
-            try_simulate_with_faults(&dag, &schedule, &gt, &plan, &policy(), None).unwrap();
-        let (adaptive_trace, adaptive) = try_simulate_adaptive(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(),
-        ).unwrap();
+            run(&dag, &schedule, &gt, spec(&plan, Replan::Off)).unwrap();
+        let replan = Replan::Adaptive(ctx, AdaptiveConfig::default());
+        let (adaptive_trace, adaptive) = run(&dag, &schedule, &gt, spec(&plan, replan)).unwrap();
 
         prop_assert!(adaptive_trace.replans.is_empty(), "clean run must not replan");
         prop_assert_eq!(adaptive.jct.to_bits(), frozen.jct.to_bits(), "JCT must be bit-identical");

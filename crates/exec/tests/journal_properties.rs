@@ -8,23 +8,25 @@
 //!   bit-identical to the crash-free run (metrics, task timelines,
 //!   attempt history, replan decisions), its telemetry certifies
 //!   race-free, and the resumed journal re-validates clean.
+//! * **Spec matrix** — every replan mode × recorder × journal (none,
+//!   fresh, resumed from a crash-free journal) on faulted random DAGs
+//!   yields bit-identical metrics and task timelines.
 //! * **Corruption** — a journal with a mid-frame truncation, a flipped
 //!   CRC byte, or a duplicated commit frame is detected with *exact*
 //!   record-index provenance, checked against an independent re-scan of
 //!   the frame layout.
 
 use ditto_audit::RaceOptions;
-use ditto_cluster::ResourceManager;
+use ditto_cluster::{ResourceManager, ServerId};
 use ditto_core::{
     DittoScheduler, JointOptions, Objective, Schedule, Scheduler, SchedulingContext,
 };
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    decode_journal, try_simulate_adaptive_journaled, try_simulate_with_faults_journaled,
-    validate_journal, AdaptiveConfig, ExecConfig, ExecError, ExecutionTrace, FaultPlan,
-    FaultRates, GroundTruth, JobMetrics, JournalRecord, JournalSession, RecoveryPolicy,
-    ReschedulingContext,
+    decode_journal, validate_journal, AdaptiveConfig, ExecConfig, ExecError, ExecutionTrace,
+    FaultPlan, FaultRates, GroundTruth, JobMetrics, JournalRecord, JournalSession,
+    RecoveryPolicy, Replan, ReschedulingContext, RunSpec,
 };
 use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
@@ -54,6 +56,8 @@ fn policy() -> RecoveryPolicy {
     }
 }
 
+/// One journaled run: the adaptive engine, or the frozen one with
+/// failover rescheduling.
 #[allow(clippy::too_many_arguments)]
 fn run(
     adaptive: bool,
@@ -63,38 +67,45 @@ fn run(
     plan: &FaultPlan,
     model: &JobTimeModel,
     rm: &ResourceManager,
-    obs: &Recorder,
+    recorder: Option<&Recorder>,
     session: &mut JournalSession,
 ) -> Result<(ExecutionTrace, JobMetrics), ExecError> {
+    let mode = if adaptive { Mode::Adaptive } else { Mode::Failover };
+    ditto_exec::run(dag, schedule, gt, spec(mode, plan, model, rm, recorder, Some(session)))
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    Off,
+    Failover,
+    Adaptive,
+}
+
+/// `plan` under [`policy`], replanning per `mode` against `model`/`rm`.
+fn spec<'a>(
+    mode: Mode,
+    plan: &FaultPlan,
+    model: &'a JobTimeModel,
+    rm: &'a ResourceManager,
+    recorder: Option<&'a Recorder>,
+    journal: Option<&'a mut JournalSession>,
+) -> RunSpec<'a> {
     let ctx = ReschedulingContext {
         model,
         resources: rm,
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
-    if adaptive {
-        try_simulate_adaptive_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &policy(),
-            &ctx,
-            &AdaptiveConfig::default(),
-            obs,
-            session,
-        )
-    } else {
-        try_simulate_with_faults_journaled(
-            dag,
-            schedule,
-            gt,
-            plan,
-            &policy(),
-            Some(&ctx),
-            obs,
-            session,
-        )
+    RunSpec {
+        faults: plan.clone(),
+        recovery: policy(),
+        replan: match mode {
+            Mode::Off => Replan::Off,
+            Mode::Failover => Replan::OnServerFailure(ctx),
+            Mode::Adaptive => Replan::Adaptive(ctx, AdaptiveConfig::default()),
+        },
+        recorder,
+        journal,
     }
 }
 
@@ -115,7 +126,7 @@ fn sample_journal(dag_seed: u64) -> Vec<u8> {
         &plan,
         &model,
         &rm,
-        &Recorder::disabled(),
+        None,
         &mut session,
     )
     .expect("crash-free journaled run");
@@ -175,7 +186,7 @@ proptest! {
         let mut clean = JournalSession::fresh(None);
         let (bt, bm) = run(
             adaptive, &dag, &schedule, &gt, &plan, &model, &rm,
-            &Recorder::disabled(), &mut clean,
+            None, &mut clean,
         ).expect("crash-free journaled run");
         let total = clean.records_written();
         let k = pick(crash_frac, total as usize) as u64;
@@ -183,7 +194,7 @@ proptest! {
         let mut armed = JournalSession::fresh(Some(k));
         let err = run(
             adaptive, &dag, &schedule, &gt, &plan, &model, &rm,
-            &Recorder::disabled(), &mut armed,
+            None, &mut armed,
         ).expect_err("armed crash must kill the run");
         prop_assert!(
             matches!(err, ExecError::CoordinatorCrash { at_record } if at_record == k),
@@ -194,7 +205,7 @@ proptest! {
             .expect("torn journal must resume");
         let obs = Recorder::new();
         let (rt, rmx) = run(
-            adaptive, &dag, &schedule, &gt, &plan, &model, &rm, &obs, &mut resumed,
+            adaptive, &dag, &schedule, &gt, &plan, &model, &rm, Some(&obs), &mut resumed,
         ).expect("recovery must terminate");
 
         prop_assert_eq!(rmx.jct.to_bits(), bm.jct.to_bits(), "JCT must be bit-identical");
@@ -213,6 +224,58 @@ proptest! {
         prop_assert!(decoded.torn.is_none(), "resumed journal still torn");
         let findings = validate_journal(&decoded.records);
         prop_assert!(findings.is_empty(), "resumed journal dirty: {findings:?}");
+    }
+
+    /// The run spec's fields are orthogonal: on faulted random DAGs (task
+    /// crashes, object loss, drift and a server failure), under each
+    /// replan mode, a recorder and a journal — fresh, or resumed from a
+    /// complete crash-free journal so every stage restores and every
+    /// decision replays — leave metrics and task timelines bit-identical
+    /// to the plain run.
+    #[test]
+    fn run_spec_fields_leave_the_result_bit_identical(
+        dag_seed in 0u64..512,
+        stages in 5usize..9,
+        crash in 0.0f64..0.10,
+        loss in 0.0f64..0.10,
+        fail_frac in 0.05f64..0.6,
+        fault_seed in 0u64..1024,
+    ) {
+        let (dag, model, rm, schedule) = setup(dag_seed, stages);
+        let gt = GroundTruth::new(ExecConfig::default());
+        let (_, base) = ditto_exec::simulate(&dag, &schedule, &gt);
+        let plan = FaultPlan::from_rates(FaultRates {
+            crash_prob: crash,
+            loss_prob: loss,
+            ..FaultRates::none(fault_seed)
+        })
+        .with_drift(2.0)
+        .and_server_failure(ServerId(0), base.jct * fail_frac);
+        for mode in [Mode::Off, Mode::Failover, Mode::Adaptive] {
+            let plain = spec(mode, &plan, &model, &rm, None, None);
+            let (bt, bm) = ditto_exec::run(&dag, &schedule, &gt, plain).expect("plain run");
+            for traced in [false, true] {
+                let obs = Recorder::new();
+                let recorder = traced.then_some(&obs);
+                let mut fresh = JournalSession::fresh(None);
+                let mut outs = Vec::new();
+                for journal in [None, Some(&mut fresh)] {
+                    let s = spec(mode, &plan, &model, &rm, recorder, journal);
+                    outs.push(ditto_exec::run(&dag, &schedule, &gt, s));
+                }
+                let mut resumed = JournalSession::resume(fresh.durable_bytes())
+                    .expect("a complete journal resumes");
+                let s = spec(mode, &plan, &model, &rm, recorder, Some(&mut resumed));
+                outs.push(ditto_exec::run(&dag, &schedule, &gt, s));
+                for (i, out) in outs.into_iter().enumerate() {
+                    let (t, m) = out.expect("bounded fault rates must recover");
+                    prop_assert!(
+                        m == bm && t.tasks == bt.tasks,
+                        "{mode:?}, traced {traced}, journal variant {i} diverged from the plain run"
+                    );
+                }
+            }
+        }
     }
 
     /// Cutting a journal anywhere strictly inside frame `r` is reported

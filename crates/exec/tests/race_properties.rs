@@ -14,8 +14,8 @@ use ditto_core::{
 use ditto_dag::generators::{random_dag, RandomDagConfig};
 use ditto_dag::JobDag;
 use ditto_exec::{
-    try_simulate_adaptive_traced, try_simulate_with_faults_traced, AdaptiveConfig, ExecConfig,
-    FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    run, AdaptiveConfig, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, Replan,
+    ReschedulingContext, RunSpec,
 };
 use ditto_obs::Recorder;
 use ditto_timemodel::model::RateConfig;
@@ -82,9 +82,14 @@ proptest! {
         let (dag, _model, _rm, schedule) = setup(dag_seed, stages);
         let gt = GroundTruth::new(ExecConfig::default());
         let obs = Recorder::new();
-        try_simulate_with_faults_traced(
-            &dag, &schedule, &gt, &plan(crash, loss, fault_seed), &policy(), None, &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        let spec = RunSpec {
+            faults: plan(crash, loss, fault_seed),
+            recovery: policy(),
+            recorder: Some(&obs),
+            ..RunSpec::default()
+        };
+        run(&dag, &schedule, &gt, spec)
+            .expect("bounded fault rates must recover within policy bounds");
         let g = HbGraph::build(&obs.finish());
 
         prop_assert!(g.cycle.is_empty(), "hb cycle through ops {:?}", g.cycle);
@@ -114,9 +119,14 @@ proptest! {
         let (dag, _model, _rm, schedule) = setup(dag_seed, stages);
         let gt = GroundTruth::new(ExecConfig::default());
         let obs = Recorder::new();
-        try_simulate_with_faults_traced(
-            &dag, &schedule, &gt, &plan(crash, loss, fault_seed), &policy(), None, &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        let spec = RunSpec {
+            faults: plan(crash, loss, fault_seed),
+            recovery: policy(),
+            recorder: Some(&obs),
+            ..RunSpec::default()
+        };
+        run(&dag, &schedule, &gt, spec)
+            .expect("bounded fault rates must recover within policy bounds");
         let report = check_trace(&obs.finish(), &opts());
         prop_assert!(report.is_clean(), "frozen engine raced:\n{}", report.render());
     }
@@ -145,9 +155,15 @@ proptest! {
             options: JointOptions::default(),
         };
         let obs = Recorder::new();
-        try_simulate_adaptive_traced(
-            &dag, &schedule, &gt, &plan, &policy(), &ctx, &AdaptiveConfig::default(), &obs,
-        ).expect("bounded fault rates must recover within policy bounds");
+        let spec = RunSpec {
+            faults: plan,
+            recovery: policy(),
+            replan: Replan::Adaptive(ctx, AdaptiveConfig::default()),
+            recorder: Some(&obs),
+            journal: None,
+        };
+        run(&dag, &schedule, &gt, spec)
+            .expect("bounded fault rates must recover within policy bounds");
         let report = check_trace(&obs.finish(), &opts());
         prop_assert!(report.is_clean(), "adaptive engine raced:\n{}", report.render());
     }

@@ -13,7 +13,7 @@
 use ditto_cluster::ResourceManager;
 use ditto_core::baselines::EvenSplitScheduler;
 use ditto_core::{Objective, Scheduler, SchedulingContext};
-use ditto_exec::{simulate_traced, ExecConfig, GroundTruth};
+use ditto_exec::{run, ExecConfig, GroundTruth, RunSpec};
 use ditto_obs::{to_chrome_trace, validate_chrome_trace, Recorder};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -30,7 +30,11 @@ fn two_stage_chrome_trace() -> String {
         objective: Objective::Jct,
     });
     let obs = Recorder::new();
-    let (_, m) = simulate_traced(&dag, &schedule, &GroundTruth::new(ExecConfig::default()), &obs);
+    let spec = RunSpec {
+        recorder: Some(&obs),
+        ..RunSpec::default()
+    };
+    let (_, m) = run(&dag, &schedule, &GroundTruth::new(ExecConfig::default()), spec).unwrap();
     assert!(m.jct > 0.0);
     to_chrome_trace(&obs.finish())
 }

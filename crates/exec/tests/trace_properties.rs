@@ -5,10 +5,7 @@
 
 use ditto_cluster::ResourceManager;
 use ditto_core::{DittoScheduler, Objective, SchedulingContext};
-use ditto_exec::{
-    try_simulate_with_faults_traced, FaultPlan, FaultRates, RecoveryPolicy,
-};
-use ditto_exec::{ExecConfig, GroundTruth};
+use ditto_exec::{run, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, RunSpec};
 use ditto_obs::{Recorder, TraceData};
 use ditto_timemodel::model::RateConfig;
 use ditto_timemodel::JobTimeModel;
@@ -42,8 +39,13 @@ fn traced_chain_run(stages: u32, gb: u64, selectivity: f64, rate: f64, seed: u64
         ..RecoveryPolicy::default()
     };
     let gt = GroundTruth::new(ExecConfig::default());
-    try_simulate_with_faults_traced(&dag, &schedule, &gt, &plan, &policy, None, &obs)
-        .expect("bounded fault rates recover");
+    let spec = RunSpec {
+        faults: plan,
+        recovery: policy,
+        recorder: Some(&obs),
+        ..RunSpec::default()
+    };
+    run(&dag, &schedule, &gt, spec).expect("bounded fault rates recover");
     obs.finish()
 }
 

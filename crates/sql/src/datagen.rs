@@ -160,8 +160,14 @@ impl Database {
     }
 }
 
-fn zipf_key(rng: &mut StdRng, n: usize, skew: f64) -> i64 {
-    let z = Zipf::new(n as u64, skew).expect("valid zipf");
+/// Zipf over keys `1..=n`. Building one costs an O(n) CDF, so each table
+/// generator builds its distributions once; construction draws no
+/// randomness, so sharing them leaves the sample stream unchanged.
+fn zipf(n: usize, skew: f64) -> Zipf {
+    Zipf::new(n as u64, skew).expect("valid zipf")
+}
+
+fn zipf_key(rng: &mut StdRng, z: &Zipf) -> i64 {
     z.sample(rng) as i64
 }
 
@@ -276,13 +282,14 @@ fn gen_web_sales(
     let mut site = Vec::with_capacity(n);
     let mut cost = Vec::with_capacity(n);
     let mut profit = Vec::with_capacity(n);
+    let (wh_keys, addr_keys) = (zipf(n_wh, skew), zipf(n_addr, skew));
     let mut next_order = 1i64;
     while order.len() < n {
         let items = rng.gen_range(1..=6).min(n - order.len());
         let multi_wh = rng.gen_bool(0.25);
-        let base_wh = zipf_key(rng, n_wh, skew);
+        let base_wh = zipf_key(rng, &wh_keys);
         let o_date = rng.gen_range(1..=n_dates as i64);
-        let o_addr = zipf_key(rng, n_addr, skew);
+        let o_addr = zipf_key(rng, &addr_keys);
         let o_site = rng.gen_range(1..=n_sites as i64);
         for item in 0..items {
             order.push(next_order);
@@ -338,18 +345,19 @@ fn gen_catalog_sales(
     let mut wh = Vec::with_capacity(n);
     let mut cost = Vec::with_capacity(n);
     let mut profit = Vec::with_capacity(n);
+    let (wh_keys, addr_keys) = (zipf(n_wh, skew), zipf(n_addr, skew));
     let mut next_order = 1i64;
     while order.len() < n {
         let items = rng.gen_range(1..=4).min(n - order.len());
         let o_date = rng.gen_range(1..=n_dates as i64);
-        let o_addr = zipf_key(rng, n_addr, skew);
+        let o_addr = zipf_key(rng, &addr_keys);
         let o_cc = rng.gen_range(1..=n_cc as i64);
         for _ in 0..items {
             order.push(next_order);
             date.push(o_date);
             addr.push(o_addr);
             cc.push(o_cc);
-            wh.push(zipf_key(rng, n_wh, skew));
+            wh.push(zipf_key(rng, &wh_keys));
             cost.push(rng.gen_range(1.0..400.0));
             profit.push(rng.gen_range(-80.0..300.0));
         }
@@ -406,9 +414,12 @@ fn gen_store_sales(
     rng: &mut StdRng,
 ) -> Table {
     let date: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=n_dates as i64)).collect();
-    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_cust, skew)).collect();
-    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_stores, skew)).collect();
-    let item: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_items, skew)).collect();
+    let cust_keys = zipf(n_cust, skew);
+    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, &cust_keys)).collect();
+    let store_keys = zipf(n_stores, skew);
+    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, &store_keys)).collect();
+    let item_keys = zipf(n_items, skew);
+    let item: Vec<i64> = (0..n).map(|_| zipf_key(rng, &item_keys)).collect();
     let paid: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..300.0)).collect();
     Table::new(
         Schema::new(&[
@@ -455,8 +466,10 @@ fn gen_store_returns(
     rng: &mut StdRng,
 ) -> Table {
     let date: Vec<i64> = (0..n).map(|_| rng.gen_range(1..=n_dates as i64)).collect();
-    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_cust, skew)).collect();
-    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, n_stores, skew)).collect();
+    let cust_keys = zipf(n_cust, skew);
+    let cust: Vec<i64> = (0..n).map(|_| zipf_key(rng, &cust_keys)).collect();
+    let store_keys = zipf(n_stores, skew);
+    let store: Vec<i64> = (0..n).map(|_| zipf_key(rng, &store_keys)).collect();
     let amt: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0..200.0)).collect();
     Table::new(
         Schema::new(&[
@@ -593,6 +606,21 @@ mod tests {
         }
         let max = *counts.values().max().unwrap();
         assert!(max as f64 > 2.0 * wh.len() as f64 / 10.0, "no skew detected");
+    }
+
+    #[test]
+    fn generated_tables_are_pinned() {
+        // FNV-1a over every table's name and encoded bytes, in name order.
+        // A change here means the generator's sample stream moved, and
+        // every answer and benchmark figure built on it moved with it.
+        let db = Database::generate(ScaleConfig::with_sf(0.05));
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for name in db.table_names() {
+            for &b in name.as_bytes().iter().chain(db.table(name).encode().iter()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x828a_4b7f_34de_d4b0);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use ditto::cluster::{Cluster, ResourceManager, ServerId, SlotDistribution};
 use ditto::core::{DittoScheduler, JointOptions, Objective, Scheduler, SchedulingContext};
 use ditto::core::baselines::NimbleScheduler;
 use ditto::exec::{
-    profile_job, simulate, try_simulate_with_faults, try_simulate_with_faults_traced, ExecConfig,
-    FaultPlan, FaultRates, GroundTruth, RecoveryPolicy, ReschedulingContext,
+    profile_job, run, simulate, ExecConfig, FaultPlan, FaultRates, GroundTruth, RecoveryPolicy,
+    Replan, ReschedulingContext, RunSpec,
 };
 use ditto::obs::{critical_path, summary_table, to_chrome_trace, Recorder};
 use ditto::sql::queries::Query;
@@ -78,9 +78,8 @@ fn main() {
                     straggler_slowdown: 4.0,
                     ..FaultRates::none(17)
                 });
-                let (_, m) =
-                    try_simulate_with_faults(&plan.dag, &schedule, &gt, &faults, &policy, None)
-                        .expect("recoverable");
+                let spec = RunSpec { faults, recovery: policy, ..RunSpec::default() };
+                let (_, m) = run(&plan.dag, &schedule, &gt, spec).expect("recoverable");
                 println!(
                     "{:<8} {:<12} {:>6.2} {:>12.1} {:>9.2}x {:>9} {:>12.0}",
                     name,
@@ -113,10 +112,9 @@ fn main() {
         straggler_slowdown: 4.0,
         ..FaultRates::none(17)
     });
-    let policy = RecoveryPolicy { max_retries: 16, ..RecoveryPolicy::default() };
-    let (trace, m) =
-        try_simulate_with_faults_traced(&plan.dag, &schedule, &gt, &faults, &policy, None, &obs)
-            .expect("recoverable");
+    let recovery = RecoveryPolicy { max_retries: 16, ..RecoveryPolicy::default() };
+    let spec = RunSpec { faults, recovery, recorder: Some(&obs), ..RunSpec::default() };
+    let (trace, m) = run(&plan.dag, &schedule, &gt, spec).expect("recoverable");
     for a in trace.attempts.iter().take(12) {
         println!(
             "  stage {:>2} task {:>3} attempt {} on {}: {:>7.1}s..{:<7.1}s {:?} (wasted {:.0} GB*s)",
@@ -156,15 +154,13 @@ fn main() {
         objective: Objective::Jct,
         options: JointOptions::default(),
     };
-    let (trace, m) = try_simulate_with_faults(
-        &plan.dag,
-        &schedule,
-        &gt,
-        &faults,
-        &RecoveryPolicy::default(),
-        Some(&ctx),
-    )
-    .expect("job survives a single server failure");
+    let spec = RunSpec {
+        faults,
+        recovery: RecoveryPolicy::default(),
+        replan: Replan::OnServerFailure(ctx),
+        ..RunSpec::default()
+    };
+    let (trace, m) = run(&plan.dag, &schedule, &gt, spec).expect("job survives a single server failure");
     println!("  fault-free JCT {:.1}s -> {:.1}s under failure", base.jct, m.jct);
     println!(
         "  {} stages replanned on the surviving servers, {} attempts killed with the server",

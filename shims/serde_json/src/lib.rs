@@ -445,7 +445,7 @@ fn content_to_value(c: &Content) -> Value {
 
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let content = p.parse_value()?;
     p.skip_ws();
@@ -461,6 +461,7 @@ pub fn from_value<T: Deserialize>(value: Value) -> Result<T, Error> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -607,13 +608,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in
+                    // one slice. Both are ASCII, so they never fall inside
+                    // a multibyte sequence and the cut is a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -700,6 +702,16 @@ mod tests {
         assert!(from_str::<Value>("[1,]").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multibyte_runs_round_trip_next_to_escapes() {
+        let original = "é\"ß→\\\n𝄞 \t€\u{1}z";
+        let text = to_string(&Value::String(original.into())).unwrap();
+        let back: String = from_str(&text).unwrap();
+        assert_eq!(back, original);
+        let escaped: String = from_str(r#""\u00e9é\"→\\""#).unwrap();
+        assert_eq!(escaped, "éé\"→\\");
     }
 
     #[test]

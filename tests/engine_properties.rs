@@ -222,7 +222,7 @@ proptest! {
     ) {
         use ditto::core::baselines::EvenSplitScheduler;
         use ditto::core::{Objective, Scheduler, SchedulingContext};
-        use ditto::exec::{try_simulate_with_faults, FaultEvent, FaultPlan, RecoveryPolicy};
+        use ditto::exec::{run, FaultEvent, FaultPlan, RecoveryPolicy, RunSpec};
         let dag = ditto::dag::generators::fig1_join();
         let model = ditto::timemodel::JobTimeModel::from_rates(
             &dag,
@@ -248,16 +248,12 @@ proptest! {
             .collect();
         let mut last = 0.0_f64;
         for k in 0..=pool.len() {
-            let plan = FaultPlan::from_events(pool[..k].to_vec());
-            let (_, m) = try_simulate_with_faults(
-                &dag,
-                &schedule,
-                &gt,
-                &plan,
-                &RecoveryPolicy::retry_only(),
-                None,
-            )
-            .unwrap();
+            let spec = RunSpec {
+                faults: FaultPlan::from_events(pool[..k].to_vec()),
+                recovery: RecoveryPolicy::retry_only(),
+                ..RunSpec::default()
+            };
+            let (_, m) = run(&dag, &schedule, &gt, spec).unwrap();
             prop_assert!(
                 m.jct >= last - 1e-9,
                 "jct dropped from {} to {} at {} crashes",
